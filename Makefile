@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-baseline check chaos experiments bench bench-smoke trace-smoke race-smoke
+.PHONY: build test race vet fmt lint lint-baseline check chaos experiments bench bench-smoke trace-smoke race-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -94,3 +94,12 @@ trace-smoke:
 # race report.
 race-smoke:
 	$(GO) test -race -run 'TestWorkerPoolVerdictsIdentical|TestSearchByteDeterministic' ./internal/chaos
+
+# perfbench-test runs the benchmark module's own tests (perfbench/ is a
+# separate module that uses this one through a replace, so ./... at the
+# root never reaches it). They prove that a corrupted digest, a
+# subscriber ledger hole, the chaos-legacy split brain and a non-zero
+# iocheck exit each count as a failed op, and they fail to build when a
+# root change breaks the benchmark's build.
+perfbench-test:
+	$(GO) -C perfbench test ./...

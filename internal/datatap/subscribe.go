@@ -110,6 +110,13 @@ type SubHub struct {
 	subs  map[string]*Subscriber
 	order []*Subscriber // join order; all iteration goes through this
 
+	// minCur is the lowest cursor over order (crashed subscribers
+	// included) and atMin how many subscribers sit at it. Cursors only
+	// grow and joiners start at the live edge, so the watermark only
+	// rises: advance rescans order only when the last holder moves.
+	minCur int64
+	atMin  int
+
 	stats  SubHubStats
 	closed bool
 }
@@ -192,6 +199,12 @@ func (h *SubHub) Subscribe(id string, node int) *Subscriber {
 		cursor: h.pubSeq + 1, buf: make([]*Meta, h.cfg.BufCap)}
 	h.subs[id] = s
 	h.order = append(h.order, s)
+	switch {
+	case len(h.order) == 1:
+		h.minCur, h.atMin = s.cursor, 1
+	case s.cursor == h.minCur:
+		h.atMin++
+	}
 	return s
 }
 
@@ -261,15 +274,35 @@ func (s *Subscriber) stage() {
 }
 
 // minCursor returns the lowest cursor over every subscriber, crashed ones
-// included — the watermark below which no sequence can be owed.
+// included — the watermark below which no sequence can be owed. With no
+// subscribers nothing is owed past the live edge.
 func (h *SubHub) minCursor() int64 {
-	min := h.pubSeq + 1
-	for _, s := range h.order {
-		if s.cursor < min {
-			min = s.cursor
+	if len(h.order) == 0 {
+		return h.pubSeq + 1
+	}
+	return h.minCur
+}
+
+// advance moves the subscriber's cursor one sequence on and keeps the
+// watermark. Only when the last subscriber at the minimum moves does the
+// watermark rise, and then by exactly one: every other cursor already
+// sits past the old minimum, so the mover's new cursor is the new
+// minimum and the rescan only counts its holders.
+func (s *Subscriber) advance() {
+	h := s.hub
+	s.cursor++
+	if s.cursor-1 != h.minCur {
+		return
+	}
+	if h.atMin--; h.atMin > 0 {
+		return
+	}
+	h.minCur = s.cursor
+	for _, o := range h.order {
+		if o.cursor == h.minCur {
+			h.atMin++
 		}
 	}
-	return min
 }
 
 // evict trims the tail to its bound. An evicted sequence some subscriber
@@ -316,8 +349,6 @@ func (h *SubHub) spillToStore(seq int64, m *Meta) {
 }
 
 // reclaim retires spill entries no subscriber can need any more.
-//
-//iocheck:cold
 func (h *SubHub) reclaim() {
 	min := h.minCursor()
 	for seq := h.spillLow; seq < min; seq++ {
@@ -362,14 +393,15 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 			continue
 		}
 		if s.bufLen > 0 {
-			m := s.buf[s.bufHead]
+			m, gen := s.buf[s.bufHead], s.gen
 			ok := true
 			if h.ch.mach != nil && m.SrcNode != s.node {
 				ok = h.ch.mach.Send(p, m.SrcNode, s.node, m.Size)
 			}
-			if s.crashed {
-				// Crashed mid-transfer: the buffer was cleared under us and
-				// the sequence stays owed (tail or spill keeps it). Park.
+			if s.gen != gen {
+				// Crashed mid-transfer, and perhaps resumed already: the
+				// buffer was cleared under us and the sequence stays owed
+				// (tail or spill keeps it). Start over.
 				continue
 			}
 			// Pop and account only after the transfer, so a snapshot taken
@@ -377,7 +409,7 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 			s.buf[s.bufHead] = nil
 			s.bufHead = (s.bufHead + 1) % len(s.buf)
 			s.bufLen--
-			s.cursor++
+			s.advance()
 			h.reclaim()
 			if !ok {
 				// The source node died with the payload unread: a knowing
@@ -410,12 +442,12 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 						// Seeded bug (tests only): skip the sequence without
 						// delivering or counting — the conservation oracle
 						// must catch this.
-						s.cursor++
+						s.advance()
 						sp.Attr("fail", "cursor-skip").End()
 						continue
 					}
 				}
-				s.cursor++
+				s.advance()
 				s.delivered++
 				s.spillReads++
 				h.stats.Delivered++
@@ -425,7 +457,7 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 				return m, true
 			}
 			// Evicted without spill: already counted dropped at evict time.
-			s.cursor++
+			s.advance()
 			continue
 		}
 		s.stage()

@@ -37,6 +37,37 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	e.Run()
 }
 
+// spawnAllocs is what one proc's whole life (spawn, one sleep, finish)
+// allocates while procs switch over channels, each on its own goroutine.
+// A coroutine-based switch is measured against this number.
+const spawnAllocs = 7
+
+func sleepOnce(p *Proc) { p.Sleep(Second) }
+
+// BenchmarkProcSpawn measures a proc's whole life: spawn, one sleep,
+// finish.
+func BenchmarkProcSpawn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	for i := 0; i < b.N; i++ {
+		e.Go("proc", sleepOnce)
+		e.Run()
+	}
+}
+
+// TestProcSpawnAllocs pins spawnAllocs: a proc may not start costing
+// more allocations unnoticed.
+func TestProcSpawnAllocs(t *testing.T) {
+	e := NewEngine(1)
+	got := testing.AllocsPerRun(100, func() {
+		e.Go("proc", sleepOnce)
+		e.Run()
+	})
+	if got > spawnAllocs {
+		t.Errorf("proc spawn costs %v allocs, want <= %d", got, spawnAllocs)
+	}
+}
+
 // BenchmarkQueueHandoff measures producer/consumer handoff through a
 // bounded queue.
 func BenchmarkQueueHandoff(b *testing.B) {
