@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-baseline check chaos experiments bench bench-smoke trace-smoke race-smoke perfbench-test
+.PHONY: build test race vet fmt lint lint-baseline check chaos experiments bench bench-smoke trace-smoke race-smoke perfbench-test loc
 
 build:
 	$(GO) build ./...
@@ -20,10 +20,12 @@ fmt:
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs the in-repo invariant analyzers (cmd/iocheck): the syntactic
-# rules (simtime, maprange, nilrecv, ctlmsg, dropresult) and the
-# interprocedural ones built on the CFG + call-graph layer (vtblock,
-# epochset, nilflow, maprange-deep) plus the perf layer (hotalloc,
-# hotbox: heat propagation + escape analysis over hot paths).
+# rules (simtime, maprange, nilrecv, dropresult, and ctlmsg, which checks
+# the one control-round leg the compiler cannot: every ctlReq and pump
+# message has a handler arm), the interprocedural ones built on the CFG +
+# call-graph layer (vtblock, epochset, nilflow, maprange-deep), the perf
+# layer (hotalloc, hotbox: heat propagation + escape analysis over hot
+# paths) and the round-lifecycle rules (roundflow, roundterm).
 # Zero-dependency; lint-baseline.json is a per-rule ratchet over both
 # unsuppressed findings and audited //iocheck:allow counts. Finding
 # growth fails; finding shrinkage also fails until the baseline is
@@ -103,3 +105,12 @@ race-smoke:
 # root change breaks the benchmark's build.
 perfbench-test:
 	$(GO) -C perfbench test ./...
+
+# loc prints the three line counts ROADMAP tracks for the root module
+# (perfbench/, a separate module, is excluded): non-test Go lines, test
+# lines, and lint-fixture lines under internal/analysis/testdata.
+loc:
+	@printf 'non-test %s\ntest %s\nfixtures %s\n' \
+		"$$(find . -path ./perfbench -prune -o -path ./internal/analysis/testdata -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)" \
+		"$$(find . -path ./perfbench -prune -o -path ./internal/analysis/testdata -prune -o -name '*_test.go' -print | xargs cat | wc -l)" \
+		"$$(find internal/analysis/testdata -type f | xargs cat | wc -l)"

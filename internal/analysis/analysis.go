@@ -4,11 +4,18 @@
 // checks run network-free. It exists to machine-check the invariants the
 // compiler cannot see and the simulator's correctness rests on:
 // bit-deterministic replay from a seed, nil-safe fault schedules, and the
-// crash-tolerance protocol's exhaustive dispatch.
+// crash-tolerance protocol's round contract. Where the type system can
+// carry an invariant it does — every control-round message embeds
+// internal/core's Round header and every request satisfies ctlReq, so a
+// message without Seq/Epoch or an event type does not compile — and the
+// rules check only what types cannot: that each message is handled
+// (ctlmsg) and that each value is stamped, deduped and fenced on every
+// path (epochset, roundflow, roundterm).
 //
 // The analyzers (simtime, maprange, nilrecv, ctlmsg, the CFG-based
-// vtblock/epochset/nilflow/maprange-deep, dropresult, and the
-// heat-propagated perf rules hotalloc/hotbox — one file per rule) are run
+// vtblock/epochset/nilflow/maprange-deep, dropresult, the
+// heat-propagated perf rules hotalloc/hotbox, and the round-lifecycle
+// rules roundflow/roundterm — one file per rule) are run
 // by cmd/iocheck over the whole module (`make lint`) and by the repo-wide
 // self-check test, so `go test ./...` enforces them too.
 //

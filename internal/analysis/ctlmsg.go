@@ -3,312 +3,93 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
-// CtlMsg enforces exhaustiveness of the control-protocol dispatch in
-// internal/core. A protocol round message is a struct whose name ends in
-// "Req" or "Resp" and that carries a `Seq int64` field (the dedupe key).
-// Every such request type must appear in three switches, or a new message
-// silently bypasses the crash-tolerance machinery PR 1 built:
+// CtlMsg checks the legs of the control-round contract that the compiler
+// cannot. In internal/core every round message embeds the `Round` header
+// (Seq, Epoch) and every request satisfies the ctlReq interface (the
+// header plus its ctl.* event type), so gm.call, managerLoop's fence and
+// dedupe, and c.reply only compile for messages that carry both. What
+// types cannot say is that a message is *handled*:
 //
-//   - reqSeq — the container manager's dedupe cache key extractor; a
-//     missing case means a retried round RE-EXECUTES a mutating request;
-//   - msgTypeFor — the global manager's send path; a missing case submits
-//     the request as "ctl.unknown" and breaks the overlay routing split;
-//   - managerLoop — the serving switch; a missing case kills the container
-//     with an unknown-control failure at runtime instead of compile time.
+//   - every ctlReq implementation has a managerLoop arm; a missing arm
+//     kills the container with an unknown-control failure at runtime;
+//   - every other header-embedding message except responses (the shard
+//     relays and the subscriber notice, i.e. pump traffic) has a dispatch
+//     or shardDispatch arm; a missing arm drops it silently.
 //
-// Every response type must appear in respSeq, or purgeStale cannot drop the
-// duplicate responses a retried round produces. Messages that deliberately
-// travel outside the synchronous round path (e.g. SpareReq, served from the
-// GM pump) carry an //iocheck:allow ctlmsg audit comment on their
-// declaration.
-//
-// Additionally, every message that IS dispatched on the round path must
-// carry an `Epoch int64` field: the split-brain fence works by stamping
-// the issuing manager's epoch on each round and letting containers refuse
-// lower epochs, so an epoch-less round message is an unfenceable hole —
-// a deposed manager could keep mutating state through it. The rule is
-// scoped to switch members so pump-path messages stay exempt.
-//
-// Shard round messages — structs carrying BOTH `Seq int64` and `Shard int`
-// (the steal/beat/relay family of the sharded control plane) — are a
-// separate protocol with its own exhaustiveness contract: each must be
-// registered in the shardMsgSeq switch, handled by a dispatch arm
-// (dispatch or shardDispatch), and carry `Epoch int64` so steal fencing
-// can drop stale instances. They are EXEMPT from the container-round
-// rules above even when their name ends in Req/Resp: a StealReq is
-// pump-to-pump traffic between managers, never served by managerLoop.
-//
-// Subscriber round messages — structs carrying `Seq int64` and `SubID
-// string` (the SubNotice/SubResume/SubReplay family of the streaming
-// fan-out's reconnect protocol) — form a third family layered on top:
-// each must be registered in the subMsgSeq switch, reach a dispatch arm
-// (dispatch, managerLoop, or respSeq — notices are pump messages, the
-// Req/Resp pairs full container rounds), and carry `Epoch int64` so a
-// deposed manager cannot revive cursors. The Req/Resp members also
-// satisfy the container-round rules above; the family check is what makes
-// a pump-only notice like SubNotice, which no Req/Resp rule ever sees,
-// impossible to leave half-wired.
+// Responses need no arm: they land in the issuing manager's response
+// mailbox and are matched there by Seq.
 var CtlMsg = &Analyzer{
 	Name: "ctlmsg",
-	Doc:  "protocol Req/Resp types must be dispatched in reqSeq/msgTypeFor/managerLoop/respSeq and carry the fencing epoch",
+	Doc:  "every round request (ctlReq) needs a managerLoop arm, and every other header-embedding non-response message a dispatch/shardDispatch arm",
 	Applies: func(pkg *Package) bool {
-		// The rule binds wherever the dispatch functions live; packages
-		// without a reqSeq have no protocol to be exhaustive about.
-		return pkg.Types.Scope().Lookup("reqSeq") != nil
+		// The rule binds wherever the round header is declared; packages
+		// without one have no round messages to be exhaustive about.
+		return declaresRoundHeader(pkg.Types)
 	},
 	Run: runCtlMsg,
 }
 
+// declaresRoundHeader reports whether the package declares the round
+// header type.
+func declaresRoundHeader(pkg *types.Package) bool {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok &&
+			roundShapeOf(tn.Type()).kind == roundHeaderMsg {
+			return true
+		}
+	}
+	return false
+}
+
 func runCtlMsg(pass *Pass) {
-	reqs, resps := protocolMessageTypes(pass)
-	shardMsgs := shardRoundMessageTypes(pass)
-	subMsgs := subRoundMessageTypes(pass)
-	if len(reqs) == 0 && len(resps) == 0 && len(shardMsgs) == 0 && len(subMsgs) == 0 {
-		return
+	scope := pass.Pkg.Types.Scope()
+	var reqIfaces []*types.Interface
+	var decls []*types.TypeName
+	for _, name := range scope.Names() { // sorted
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		if types.IsInterface(tn.Type()) && roundShapeOf(tn.Type()).kind == roundReqMsg {
+			reqIfaces = append(reqIfaces, tn.Type().Underlying().(*types.Interface))
+			continue
+		}
+		decls = append(decls, tn)
 	}
-	checkShardMessages(pass, shardMsgs)
-	checkSubMessages(pass, subMsgs)
-	inReqSeq := switchCaseTypes(pass, "reqSeq")
-	inMsgTypeFor := switchCaseTypes(pass, "msgTypeFor")
-	inManagerLoop, haveManagerLoop := switchCaseTypesOpt(pass, "managerLoop")
-	inRespSeq := switchCaseTypes(pass, "respSeq")
-
-	for _, req := range reqs {
-		name := req.Name()
-		if !inReqSeq[req] {
-			pass.Reportf(req.Pos(),
-				"protocol request %s is missing from the reqSeq dedupe switch: a retried round would re-execute it",
-				name)
-		}
-		if !inMsgTypeFor[req] {
-			pass.Reportf(req.Pos(),
-				"protocol request %s is missing from the msgTypeFor switch: it would be submitted as \"ctl.unknown\"",
-				name)
-		}
-		if haveManagerLoop && !inManagerLoop[req] {
-			pass.Reportf(req.Pos(),
-				"protocol request %s is not served by the managerLoop switch: containers would die on an unknown control message",
-				name)
-		}
-	}
-	for _, resp := range resps {
-		if !inRespSeq[resp] {
-			pass.Reportf(resp.Pos(),
-				"protocol response %s is missing from the respSeq switch: stale duplicates of it can never be purged",
-				resp.Name())
-		}
-	}
-
-	// Epoch fencing: any message the round path dispatches must carry the
-	// issuing manager's epoch, or a deposed manager can slip rounds (and
-	// read replies) past the fence through that one type.
-	for _, req := range reqs {
-		if inReqSeq[req] && !hasEpochField(structOf(req)) {
-			pass.Reportf(req.Pos(),
-				"protocol request %s carries no Epoch int64 field: the fence cannot reject its stale rounds",
-				req.Name())
-		}
-	}
-	for _, resp := range resps {
-		if inRespSeq[resp] && !hasEpochField(structOf(resp)) {
-			pass.Reportf(resp.Pos(),
-				"protocol response %s carries no Epoch int64 field: a deposed manager could mistake it for a current-epoch reply",
-				resp.Name())
-		}
-	}
-}
-
-// checkShardMessages enforces the shard-round contract: registry entry,
-// dispatch arm, fencing epoch.
-func checkShardMessages(pass *Pass, shardMsgs []*types.TypeName) {
-	if len(shardMsgs) == 0 {
-		return
-	}
-	inShardSeq := switchCaseTypes(pass, "shardMsgSeq")
-	inDispatch := switchCaseTypes(pass, "dispatch")
-	inShardDispatch := switchCaseTypes(pass, "shardDispatch")
-	for _, m := range shardMsgs {
-		if !inShardSeq[m] {
-			pass.Reportf(m.Pos(),
-				"shard round message %s is missing from the shardMsgSeq registry switch",
-				m.Name())
-		}
-		if !inDispatch[m] && !inShardDispatch[m] {
-			pass.Reportf(m.Pos(),
-				"shard round message %s is not handled by any shard dispatch switch (dispatch/shardDispatch): it would be silently dropped",
-				m.Name())
-		}
-		if !hasEpochField(structOf(m)) {
-			pass.Reportf(m.Pos(),
-				"shard round message %s carries no Epoch int64 field: steal fencing cannot drop its stale instances",
-				m.Name())
-		}
-	}
-}
-
-// checkSubMessages enforces the subscriber-round contract: registry
-// entry, a dispatch arm somewhere on the round path, fencing epoch.
-func checkSubMessages(pass *Pass, subMsgs []*types.TypeName) {
-	if len(subMsgs) == 0 {
-		return
-	}
-	inSubSeq := switchCaseTypes(pass, "subMsgSeq")
-	inDispatch := switchCaseTypes(pass, "dispatch")
 	inManagerLoop := switchCaseTypes(pass, "managerLoop")
-	inRespSeq := switchCaseTypes(pass, "respSeq")
-	for _, m := range subMsgs {
-		if !inSubSeq[m] {
-			pass.Reportf(m.Pos(),
-				"subscriber round message %s is missing from the subMsgSeq registry switch",
-				m.Name())
+	inDispatch := switchCaseTypes(pass, "dispatch")
+	for tn := range switchCaseTypes(pass, "shardDispatch") {
+		inDispatch[tn] = true
+	}
+	for _, tn := range decls {
+		if isCtlReq(tn, reqIfaces) {
+			if !inManagerLoop[tn] {
+				pass.Reportf(tn.Pos(),
+					"round request %s has no managerLoop arm: containers would die on an unknown control message",
+					tn.Name())
+			}
+			continue
 		}
-		if !inDispatch[m] && !inManagerLoop[m] && !inRespSeq[m] {
-			pass.Reportf(m.Pos(),
-				"subscriber round message %s is not handled by any subscriber dispatch switch (dispatch/managerLoop/respSeq): it would be silently dropped",
-				m.Name())
-		}
-		if !hasEpochField(structOf(m)) {
-			pass.Reportf(m.Pos(),
-				"subscriber round message %s carries no Epoch int64 field: the fence cannot reject a deposed manager's cursor mutations",
-				m.Name())
+		s := roundShapeOf(tn.Type())
+		if s.embedded && s.kind != roundRespMsg && !inDispatch[tn] {
+			pass.Reportf(tn.Pos(),
+				"round message %s is neither a request nor a response, and no dispatch/shardDispatch arm handles it: it would be silently dropped",
+				tn.Name())
 		}
 	}
 }
 
-func structOf(tn *types.TypeName) *types.Struct {
-	st, _ := tn.Type().Underlying().(*types.Struct)
-	return st
-}
-
-// protocolMessageTypes returns the package's round-message types — named
-// structs ending in Req/Resp with a Seq int64 field — in declaration-name
-// order.
-func protocolMessageTypes(pass *Pass) (reqs, resps []*types.TypeName) {
-	scope := pass.Pkg.Types.Scope()
-	names := scope.Names()
-	sort.Strings(names)
-	for _, name := range names {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok || !hasSeqField(st) {
-			continue
-		}
-		if hasShardField(st) {
-			continue // shard round family: separate rules, see checkShardMessages
-		}
-		switch {
-		case hasSuffix(name, "Req"):
-			reqs = append(reqs, tn)
-		case hasSuffix(name, "Resp"):
-			resps = append(resps, tn)
-		}
-	}
-	return reqs, resps
-}
-
-// shardRoundMessageTypes returns the package's shard-round message types —
-// named structs with both Seq int64 and Shard int — in declaration-name
-// order.
-func shardRoundMessageTypes(pass *Pass) []*types.TypeName {
-	scope := pass.Pkg.Types.Scope()
-	names := scope.Names()
-	sort.Strings(names)
-	var out []*types.TypeName
-	for _, name := range names {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok || !hasSeqField(st) || !hasShardField(st) {
-			continue
-		}
-		out = append(out, tn)
-	}
-	return out
-}
-
-// subRoundMessageTypes returns the package's subscriber round family —
-// named structs with both Seq int64 and SubID string — in
-// declaration-name order. Membership overlaps the container-round family
-// for the Req/Resp members; both contracts apply.
-func subRoundMessageTypes(pass *Pass) []*types.TypeName {
-	scope := pass.Pkg.Types.Scope()
-	names := scope.Names()
-	sort.Strings(names)
-	var out []*types.TypeName
-	for _, name := range names {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok || !hasSeqField(st) || !hasSubIDField(st) {
-			continue
-		}
-		out = append(out, tn)
-	}
-	return out
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) > len(suf) && s[len(s)-len(suf):] == suf
-}
-
-func hasSeqField(st *types.Struct) bool   { return hasInt64Field(st, "Seq") }
-func hasEpochField(st *types.Struct) bool { return hasInt64Field(st, "Epoch") }
-
-// hasShardField reports a plain `Shard int` field (the shard-family tag).
-func hasShardField(st *types.Struct) bool {
-	if st == nil {
+// isCtlReq reports whether tn (or a pointer to it) implements one of the
+// package's request interfaces.
+func isCtlReq(tn *types.TypeName, reqIfaces []*types.Interface) bool {
+	if types.IsInterface(tn.Type()) {
 		return false
 	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() != "Shard" {
-			continue
-		}
-		if b, ok := f.Type().(*types.Basic); ok && b.Kind() == types.Int {
-			return true
-		}
-	}
-	return false
-}
-
-// hasSubIDField reports a plain `SubID string` field (the subscriber-family
-// tag).
-func hasSubIDField(st *types.Struct) bool {
-	if st == nil {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() != "SubID" {
-			continue
-		}
-		if b, ok := f.Type().(*types.Basic); ok && b.Kind() == types.String {
-			return true
-		}
-	}
-	return false
-}
-
-func hasInt64Field(st *types.Struct, name string) bool {
-	if st == nil {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() != name {
-			continue
-		}
-		if b, ok := f.Type().(*types.Basic); ok && b.Kind() == types.Int64 {
+	for _, it := range reqIfaces {
+		if types.Implements(tn.Type(), it) || types.Implements(types.NewPointer(tn.Type()), it) {
 			return true
 		}
 	}
@@ -320,19 +101,12 @@ func hasInt64Field(st *types.Struct, name string) bool {
 // method called name. Missing functions yield an empty set, so each absence
 // is reported per message type.
 func switchCaseTypes(pass *Pass, name string) map[*types.TypeName]bool {
-	set, _ := switchCaseTypesOpt(pass, name)
-	return set
-}
-
-func switchCaseTypesOpt(pass *Pass, name string) (map[*types.TypeName]bool, bool) {
 	out := make(map[*types.TypeName]bool)
-	found := false
 	for _, f := range pass.Pkg.Files {
 		for _, fd := range enclosingFuncs(f) {
 			if fd.Name.Name != name {
 				continue
 			}
-			found = true
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSwitchStmt)
 				if !ok {
@@ -353,7 +127,7 @@ func switchCaseTypesOpt(pass *Pass, name string) (map[*types.TypeName]bool, bool
 			})
 		}
 	}
-	return out, found
+	return out
 }
 
 // namedTypeOf resolves a case-clause type expression to its named type,

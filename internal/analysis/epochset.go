@@ -8,19 +8,20 @@ import (
 
 // EpochSet turns the epoch-fencing convention into a checked invariant:
 // every round-path protocol message (a named struct suffixed Req/Resp
-// carrying both `Seq int64` and `Epoch int64` — the shape ctlmsg already
-// enforces) that a function constructs must have its Epoch assigned on
-// ALL paths before the value reaches an evpath send sink — being wrapped
-// as an Event's Data field, or being passed to a callee that does so
-// (e.g. (*Container).reply). Stamping counts directly (`req.Epoch = e`,
-// a composite literal with an Epoch key) or through the call graph
-// (`stampReqEpoch(req, e)` assigns .Epoch through its type-switch
-// bindings, so its summary sets the parameter). The check is a forward
-// must-analysis over the CFG: a message stamped on one branch but not the
-// other is still unstamped at the merge. Values that escape (stored into
-// a map or field, returned, handed to a summaryless callee) stop being
-// tracked — the manager's dedupe cache holds already-stamped replies, and
-// escaped aliases cannot be proven either way without a heap model.
+// carrying `Seq int64` and `Epoch int64`, declared directly or promoted
+// from the embedded Round header; see roundShapeOf) that a function
+// constructs must have its Epoch assigned on ALL paths before the value
+// reaches an evpath send sink — being wrapped as an Event's Data field,
+// or being passed to a callee that does so. Stamping counts directly
+// (`req.Epoch = e` on the promoted field; a composite literal with an
+// Epoch key, also nested in its header key) or through the call graph (a helper that assigns .Epoch on its
+// parameter, also through type-switch bindings, sets it in its summary).
+// The check is a forward must-analysis over the CFG: a message stamped on
+// one branch but not the other is still unstamped at the merge. Values
+// that escape (stored into a map or field, returned, handed to a
+// summaryless callee) stop being tracked — the manager's dedupe cache
+// holds already-stamped replies, and escaped aliases cannot be proven
+// either way without a heap model.
 var EpochSet = &Analyzer{
 	Name:    "epochset",
 	Doc:     "round-path Req/Resp values must have Epoch assigned on all paths before reaching an Event send",
@@ -82,7 +83,8 @@ func constructsRoundMessage(pass *Pass, fd *ast.FuncDecl) bool {
 }
 
 // roundMessageType resolves a composite literal to its round-path message
-// type name, or nil if the literal builds something else.
+// type name (a Req/Resp round message, shard relays included), or nil if
+// the literal builds something else.
 func roundMessageType(info *types.Info, lit *ast.CompositeLit) *types.TypeName {
 	tv, ok := info.Types[lit]
 	if !ok {
@@ -92,19 +94,10 @@ func roundMessageType(info *types.Info, lit *ast.CompositeLit) *types.TypeName {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	if k := roundShapeOf(t).kind; k != roundReqMsg && k != roundRespMsg {
 		return nil
 	}
-	name := named.Obj().Name()
-	if !hasSuffix(name, "Req") && !hasSuffix(name, "Resp") {
-		return nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok || !hasSeqField(st) || !hasEpochField(st) {
-		return nil
-	}
-	return named.Obj()
+	return t.(*types.Named).Obj()
 }
 
 type epochProblem struct {
@@ -199,7 +192,7 @@ func (p *epochProblem) transferAssign(as *ast.AssignStmt, fact epochFact) epochF
 			if lit := compositeOf(rhs); lit != nil {
 				if tn := roundMessageType(p.pass.Pkg.Info, lit); tn != nil {
 					state := epochUnset
-					if litSetsEpoch(lit) {
+					if litSetsEpoch(p.pass.Pkg.Info, lit) {
 						state = epochSet
 					}
 					out = epochWrite(out, obj, state)
@@ -316,7 +309,7 @@ func (p *epochProblem) report(pos token.Pos, obj types.Object) {
 	}
 	p.reported[pos] = true
 	p.pass.Reportf(pos,
-		"round message %q reaches an Event send without Epoch assigned on every path; stamp it (stampReqEpoch/stampRespEpoch or an Epoch field in the literal) before sending",
+		"round message %q reaches an Event send without Epoch assigned on every path; stamp it (an Epoch assignment, a stamping helper, or an Epoch in the literal's header) before sending",
 		obj.Name())
 }
 
@@ -351,8 +344,10 @@ func compositeOf(e ast.Expr) *ast.CompositeLit {
 }
 
 // litSetsEpoch reports whether the literal assigns Epoch: an explicit
-// `Epoch:` key, or a full positional literal (every field present).
-func litSetsEpoch(lit *ast.CompositeLit) bool {
+// `Epoch:` key, a header key whose value carries one (`Round: Round{…,
+// Epoch: e}`, or any header value copied whole), or a full positional
+// literal (every field present).
+func litSetsEpoch(info *types.Info, lit *ast.CompositeLit) bool {
 	positional := len(lit.Elts) > 0
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
@@ -362,6 +357,11 @@ func litSetsEpoch(lit *ast.CompositeLit) bool {
 		positional = false
 		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Epoch" {
 			return true
+		}
+		if tv, ok := info.Types[kv.Value]; ok && roundShapeOf(tv.Type).kind == roundHeaderMsg {
+			if inner, ok := ast.Unparen(kv.Value).(*ast.CompositeLit); !ok || litSetsEpoch(info, inner) {
+				return true
+			}
 		}
 	}
 	return positional

@@ -13,18 +13,20 @@ import (
 //   - Issue leg: every path that sends a round-path Req must have
 //     registered a deadline (CallTimeout read or *Timeout receive) and a
 //     retry budget (CallRetries read) before the send. Req values are
-//     recognized by composite literal or by flowing through a
-//     stampReqEpoch-style helper (the StampsReq summary), and a send is
-//     a Submit/Send/Put call carrying the value or an Event wrapping it,
-//     or a call whose callee sinks the argument into an Event.
+//     recognized by binding (a composite literal, or any expression of a
+//     request type such as core's ctlReq interface) or by flowing
+//     through a helper that stamps a Req parameter's Epoch (the StampsReq
+//     summary), and a send is a Submit/Send/Put call carrying the value
+//     or an Event wrapping it, or a call whose callee sinks the argument
+//     into an Event.
 //   - Serve leg: every handler that dispatches on a round message
 //     (type-switch with a round-typed arm, or a type assertion to a
-//     round type) and applies state must reach a Seq dedupe guard and an
-//     epoch fence-check on ALL CFG paths before the dispatch. Guards
-//     count when performed directly (.Seq/.Epoch reads on round
-//     messages) or through callees carrying the Dedupe/Fence summaries
-//     (reqSeq, reqEpoch, …); diagnostics include the applies-state
-//     witness chain that gated the check in.
+//     concrete round type) and applies state must reach a Seq dedupe
+//     guard and an epoch fence-check on ALL CFG paths before the
+//     dispatch. Guards count when performed directly (.Seq/.Epoch reads
+//     or stamps on round messages or their Round header) or through
+//     callees carrying the Dedupe/Fence summaries; diagnostics include
+//     the applies-state witness chain that gated the check in.
 //   - Closure leg: a round Req composed inside a function literal passed
 //     to a call (the `mk` closures of the gm.call pattern) is checked
 //     against the callee's summaries: some callee at that site must
@@ -110,7 +112,7 @@ func collectDispatchSites(pass *Pass, n *FuncNode) map[ast.Node]*dispatchSite {
 				}
 				isRound := false
 				for _, te := range cc.List {
-					if tv, ok := info.Types[te]; ok && roundKindOfType(tv.Type) != roundNone {
+					if tv, ok := info.Types[te]; ok && isRoundDispatch(tv.Type) {
 						isRound = true
 						if armType == "" {
 							armType = roundTypeName(info, te)
@@ -132,7 +134,7 @@ func collectDispatchSites(pass *Pass, n *FuncNode) map[ast.Node]*dispatchSite {
 				return true // type-switch form, handled above
 			}
 			tv, ok := info.Types[node.Type]
-			if !ok || roundKindOfType(tv.Type) == roundNone {
+			if !ok || !isRoundDispatch(tv.Type) {
 				return true
 			}
 			if !n.Round.State.Has {
@@ -147,6 +149,13 @@ func collectDispatchSites(pass *Pass, n *FuncNode) map[ast.Node]*dispatchSite {
 		return true
 	})
 	return sites
+}
+
+// isRoundDispatch reports whether a type-switch arm or assertion to t
+// dispatches on a round message. Asserting to a request interface
+// (core's ctlReq) only recovers the header ahead of the real dispatch.
+func isRoundDispatch(t types.Type) bool {
+	return roundKindOfType(t) != roundNone && !types.IsInterface(t)
 }
 
 // armAppliesState reports whether a dispatch arm writes application
@@ -212,7 +221,8 @@ func inspectOwn(node ast.Node, visit func(ast.Node) bool) {
 
 // tracksRounds is the cheap prescan deciding whether the CFG pass can
 // ever track a Req value in n's own body: a round-Req composite literal,
-// or a call site with a request-stamping callee.
+// a binding of a request-typed value, or a call site with a
+// request-stamping callee.
 func tracksRounds(pass *Pass, n *FuncNode) bool {
 	info := pass.Pkg.Info
 	found := false
@@ -220,8 +230,15 @@ func tracksRounds(pass *Pass, n *FuncNode) bool {
 		if found {
 			return false
 		}
-		if lit, ok := node.(*ast.CompositeLit); ok && roundKindOfExpr(info, lit) == roundReqMsg {
-			found = true
+		switch node := node.(type) {
+		case *ast.CompositeLit:
+			found = roundKindOfExpr(info, node) == roundReqMsg
+		case *ast.AssignStmt:
+			for _, rhs := range node.Rhs {
+				if roundKindOfExpr(info, rhs) == roundReqMsg {
+					found = true
+				}
+			}
 		}
 		return !found
 	})
@@ -438,6 +455,11 @@ func (p *roundFlowProblem) transferAssign(as *ast.AssignStmt, fact rfFact) rfFac
 	}
 	info := p.pass.Pkg.Info
 	for i, lhs := range as.Lhs {
+		// A Seq/Epoch stamp is a guard primitive, as in the summaries.
+		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok &&
+			(sel.Sel.Name == "Seq" || sel.Sel.Name == "Epoch") {
+			out = p.noteGuardRead(sel, out)
+		}
 		obj := defOrUseObj(info, lhs)
 		if obj == nil {
 			continue
@@ -447,15 +469,13 @@ func (p *roundFlowProblem) transferAssign(as *ast.AssignStmt, fact rfFact) rfFac
 			rhs = as.Rhs[i]
 		}
 		if rhs != nil {
-			if lit := compositeOf(rhs); lit != nil {
-				if roundKindOfExpr(info, lit) == roundReqMsg {
-					out.reqs = addObj(out.reqs, obj)
-					continue
-				}
-				if isEventLit(info, lit) && p.litWrapsTracked(lit, out) {
-					out.evs = addObj(out.evs, obj)
-					continue
-				}
+			if roundKindOfExpr(info, rhs) == roundReqMsg {
+				out.reqs = addObj(out.reqs, obj)
+				continue
+			}
+			if lit := compositeOf(rhs); lit != nil && isEventLit(info, lit) && p.litWrapsTracked(lit, out) {
+				out.evs = addObj(out.evs, obj)
+				continue
 			}
 		}
 		// Reassignment to anything else unbinds the name.

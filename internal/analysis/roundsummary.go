@@ -16,10 +16,17 @@ import (
 // fixpoint over the CHA call graph, so the analyzers can ask "does some
 // call on this path register a deadline?" without re-walking bodies.
 //
-// Round-path message classification (shared with ctlmsg's registry):
+// Round-path message classification is roundShapeOf, the one classifier
+// the round rules share (ctlmsg, epochset, roundflow, roundterm):
 //
 //   - A *round message* is a named struct whose name ends in Req, Resp,
-//     or Notice and that carries both `Seq int64` and `Epoch int64`.
+//     or Notice and that carries both `Seq int64` and `Epoch int64` —
+//     declared directly or promoted from an embedded round header (core's
+//     `Round`). The header itself is a round-family type too, so reads
+//     and stamps through it (`h := m.round(); h.Epoch`) count like reads
+//     on the message.
+//   - A named Req-suffixed interface whose method set returns the header
+//     (core's ctlReq) is a request type: a value of it is a round request.
 //   - Shard-relay messages (those with a `Shard int` field — StealReq,
 //     ShardBeat, GapRelay, …) are a separate family with their own
 //     single-writer discipline (DESIGN.md §14) and are excluded.
@@ -42,7 +49,124 @@ const (
 	roundReqMsg
 	roundRespMsg
 	roundNoticeMsg
+	roundHeaderMsg // the round header itself: a struct of exactly Seq, Epoch int64
 )
+
+// roundShape is what the round-family classifier knows about a type.
+type roundShape struct {
+	kind roundKind
+	// embedded: Seq and Epoch are promoted from an embedded header.
+	embedded bool
+	// shard: the type carries `Shard int` (the shard-relay family).
+	shard bool
+}
+
+// roundShapeOf classifies t (pointer-stripped) within the control-round
+// family: structs carrying Seq and Epoch int64 (declared or promoted),
+// the header itself (the unsuffixed struct of exactly those two fields),
+// and interfaces whose method set returns the header (core's ctlReq).
+// Kinds come from the name suffix, so a struct member named otherwise
+// (ShardBeat, GapRelay) has kind roundNone and is visible only through
+// embedded/shard; the zero shape means "not a round type".
+func roundShapeOf(t types.Type) roundShape {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return roundShape{}
+	}
+	var s roundShape
+	switch name := named.Obj().Name(); {
+	case hasSuffix(name, "Req"):
+		s.kind = roundReqMsg
+	case hasSuffix(name, "Resp"):
+		s.kind = roundRespMsg
+	case hasSuffix(name, "Notice"):
+		s.kind = roundNoticeMsg
+	}
+	switch u := named.Underlying().(type) {
+	case *types.Struct:
+		if s.kind == roundNone && isRoundHeader(u) {
+			return roundShape{kind: roundHeaderMsg}
+		}
+		seq, seqDepth := int64Field(named, "Seq")
+		epoch, _ := int64Field(named, "Epoch")
+		if !seq || !epoch {
+			return roundShape{}
+		}
+		s.embedded = seqDepth > 1
+		s.shard = hasField(named, "Shard", types.Int)
+	case *types.Interface:
+		if !exposesHeader(u) {
+			return roundShape{}
+		}
+	default:
+		return roundShape{}
+	}
+	return s
+}
+
+// isRoundHeader reports the header shape: exactly the fields Seq and
+// Epoch, both int64.
+func isRoundHeader(st *types.Struct) bool {
+	if st.NumFields() != 2 {
+		return false
+	}
+	for i := 0; i < 2; i++ {
+		f := st.Field(i)
+		if (f.Name() != "Seq" && f.Name() != "Epoch") || !isBasic(f.Type(), types.Int64) {
+			return false
+		}
+	}
+	return true
+}
+
+// exposesHeader reports an interface with a no-argument method returning
+// a pointer to the round header (the `round() *Round` accessor).
+func exposesHeader(it *types.Interface) bool {
+	for i := 0; i < it.NumMethods(); i++ {
+		sig := it.Method(i).Type().(*types.Signature)
+		if sig.Params().Len() != 0 || sig.Results().Len() != 1 {
+			continue
+		}
+		ptr, ok := sig.Results().At(0).Type().(*types.Pointer)
+		if !ok {
+			continue
+		}
+		if st, ok := ptr.Elem().Underlying().(*types.Struct); ok && isRoundHeader(st) {
+			return true
+		}
+	}
+	return false
+}
+
+// int64Field reports whether the struct type carries an int64 field of
+// that name, directly or promoted, and the depth it was found at (1 for
+// a direct field).
+func int64Field(named *types.Named, name string) (bool, int) {
+	obj, index, _ := types.LookupFieldOrMethod(named, false, named.Obj().Pkg(), name)
+	f, ok := obj.(*types.Var)
+	if !ok || !f.IsField() || !isBasic(f.Type(), types.Int64) {
+		return false, 0
+	}
+	return true, len(index)
+}
+
+func hasField(named *types.Named, name string, kind types.BasicKind) bool {
+	obj, _, _ := types.LookupFieldOrMethod(named, false, named.Obj().Pkg(), name)
+	f, ok := obj.(*types.Var)
+	return ok && f.IsField() && isBasic(f.Type(), kind)
+}
+
+func isBasic(t types.Type, kind types.BasicKind) bool {
+	b, ok := t.(*types.Basic)
+	return ok && b.Kind() == kind
+}
+
+func hasSuffix(s, suf string) bool {
+	return len(s) > len(suf) && s[len(s)-len(suf):] == suf
+}
 
 // RoundSummary is one function's lifecycle-obligation summary.
 type RoundSummary struct {
@@ -68,8 +192,8 @@ type RoundSummary struct {
 	// through one).
 	Term roundBit
 	// StampsReq[i]: the function assigns .Epoch on parameter i where the
-	// static operand type is a round-path Req — how callRound-style
-	// issuers are recognized through `stampReqEpoch(req, …)` helpers.
+	// static operand type is a round-path Req — how issuers that stamp
+	// through a helper (`stampReq(req, …)`) are recognized.
 	StampsReq []bool
 
 	seeded        bool
@@ -78,7 +202,8 @@ type RoundSummary struct {
 
 // roundBit is one summary bit plus its witness: the callee it was
 // inherited from (nil for seeds) and the seed's own primitive, for
-// rendering chains like "managerLoop → reqSeq → r.Seq".
+// rendering chains like "callRound → purgeStale → m.round().Seq"
+// (receivers elided).
 type roundBit struct {
 	Has  bool
 	via  *FuncNode
@@ -106,36 +231,17 @@ var roundSendMethods = map[string]bool{
 	"Submit": true, "Send": true, "Put": true, "TryPut": true,
 }
 
-// roundKindOfType classifies t (pointer-stripped) within the round
-// family.
+// roundKindOfType classifies t within the round-lifecycle family: every
+// round kind except the shard-relay messages.
 func roundKindOfType(t types.Type) roundKind {
 	if t == nil {
 		return roundNone
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	s := roundShapeOf(t)
+	if s.shard {
 		return roundNone
 	}
-	name := named.Obj().Name()
-	kind := roundNone
-	switch {
-	case hasSuffix(name, "Req"):
-		kind = roundReqMsg
-	case hasSuffix(name, "Resp"):
-		kind = roundRespMsg
-	case hasSuffix(name, "Notice"):
-		kind = roundNoticeMsg
-	default:
-		return roundNone
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok || !hasSeqField(st) || !hasEpochField(st) || hasShardField(st) {
-		return roundNone
-	}
-	return kind
+	return s.kind
 }
 
 // roundKindOfExpr classifies the static type of e.
@@ -165,9 +271,10 @@ func roundTypeName(info *types.Info, e ast.Expr) string {
 }
 
 // stateWritePrim classifies an assignment target as an application-state
-// write and names it. Seq/Epoch stamps on round messages are protocol
-// bookkeeping (reqSeq/stampReqEpoch-style helpers must stay exempt from
-// the applies-state gate), and writes to plain locals are not state.
+// write and names it. Seq/Epoch stamps on round messages or their header
+// are protocol bookkeeping (gm.call's and c.reply's header stamps must
+// stay exempt from the applies-state gate), and writes to plain locals
+// are not state.
 func stateWritePrim(info *types.Info, lhs ast.Expr) (string, bool) {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
@@ -346,8 +453,8 @@ func (prog *Program) recomputeRounds(n *FuncNode) bool {
 }
 
 // RoundChain renders the witness path for one summary bit, e.g.
-// "(*Container).managerLoop → reqSeq → r.Seq". get selects the bit from
-// a node's summary.
+// "(*GlobalManager).callRound → (*GlobalManager).purgeStale →
+// m.round().Seq". get selects the bit from a node's summary.
 func RoundChain(n *FuncNode, get func(*RoundSummary) *roundBit) string {
 	var parts []string
 	for cur := n; cur != nil && len(parts) < 8; {

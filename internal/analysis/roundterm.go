@@ -157,15 +157,13 @@ func (p *roundTermProblem) Transfer(n ast.Node, f Fact) Fact {
 					rhs = m.Rhs[i]
 				}
 				if rhs != nil {
-					if lit := compositeOf(rhs); lit != nil {
-						if roundKindOfExpr(info, lit) == roundReqMsg {
-							out.reqs = addObj(out.reqs, obj)
-							continue
-						}
-						if isEventLit(info, lit) && litWrapsTrackedReq(info, lit, out.reqs) {
-							out.evs = addObj(out.evs, obj)
-							continue
-						}
+					if roundKindOfExpr(info, rhs) == roundReqMsg {
+						out.reqs = addObj(out.reqs, obj)
+						continue
+					}
+					if lit := compositeOf(rhs); lit != nil && isEventLit(info, lit) && litWrapsTrackedReq(info, lit, out.reqs) {
+						out.evs = addObj(out.evs, obj)
+						continue
 					}
 				}
 				out.reqs = dropObj(out.reqs, obj)

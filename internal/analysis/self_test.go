@@ -2,8 +2,32 @@ package analysis
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+var (
+	moduleOnce sync.Once
+	modulePkgs []*Package
+	moduleErr  error
+)
+
+// modulePackages loads the module once for the tests that only read it.
+func modulePackages(t *testing.T) []*Package {
+	t.Helper()
+	moduleOnce.Do(func() {
+		root, err := ModuleRoot(".")
+		if err != nil {
+			moduleErr = err
+			return
+		}
+		modulePkgs, moduleErr = LoadModule(root)
+	})
+	if moduleErr != nil {
+		t.Fatalf("loading module: %v", moduleErr)
+	}
+	return modulePkgs
+}
 
 // TestModuleSelfCheck runs the full analyzer suite over the actual module
 // and asserts zero unsuppressed diagnostics. This is the enforcement
@@ -12,14 +36,7 @@ import (
 // the analyzers themselves shows up here as false positives on known-clean
 // code.
 func TestModuleSelfCheck(t *testing.T) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatalf("finding module root: %v", err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	pkgs := modulePackages(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; the loader is missing most of the module", len(pkgs))
 	}
@@ -37,6 +54,35 @@ func TestModuleSelfCheck(t *testing.T) {
 	}
 	if suppressed == 0 {
 		t.Error("expected at least one suppressed (audited) finding in the tree; stale allow machinery?")
+	}
+}
+
+// TestEveryRuleApplies guards against a rule switching itself off: the
+// golden tests bypass Applies, so a filter keyed on a declaration that a
+// refactor deleted would leave every test green while the rule checks
+// nothing. Every analyzer must apply to some package of the module, and
+// ctlmsg to internal/core, where the round header lives.
+func TestEveryRuleApplies(t *testing.T) {
+	pkgs := modulePackages(t)
+	for _, a := range Analyzers() {
+		n := 0
+		for _, pkg := range pkgs {
+			if a.Applies == nil || a.Applies(pkg) {
+				n++
+			}
+		}
+		if n == 0 {
+			t.Errorf("analyzer %s applies to no package of the module", a.Name)
+		}
+	}
+	core := false
+	for _, pkg := range pkgs {
+		if strings.HasSuffix(pkg.PkgPath, "/internal/core") {
+			core = CtlMsg.Applies(pkg)
+		}
+	}
+	if !core {
+		t.Error("ctlmsg does not apply to internal/core")
 	}
 }
 

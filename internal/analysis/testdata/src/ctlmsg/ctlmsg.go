@@ -1,184 +1,116 @@
 // Package ctlmsg is a golden-file fixture for the ctlmsg analyzer: a
-// miniature of internal/core's protocol dispatch.
+// miniature of internal/core's round messages, built on the embedded
+// round header.
 package ctlmsg
 
-// PingReq is fully dispatched and fenced.
+// Round is the header every round message embeds.
+type Round struct {
+	Seq   int64
+	Epoch int64
+}
+
+func (r *Round) round() *Round { return r }
+
+type roundMsg interface{ round() *Round }
+
+// ctlReq is a round request: the header plus its event type.
+type ctlReq interface {
+	roundMsg
+	ctlType() string
+}
+
+// PingReq is a request with a managerLoop arm.
 type PingReq struct {
-	Seq   int64
-	Epoch int64
+	Round
+	N int
 }
 
-// PingResp is fully dispatched and fenced.
-type PingResp struct {
-	Seq   int64
-	Epoch int64
-}
+func (*PingReq) ctlType() string { return "ctl.ping" }
 
-type LostReq struct{ Seq int64 } // want "missing from the reqSeq" "missing from the msgTypeFor" "not served by the managerLoop"
+// PingResp is a response: matched by Seq in the issuer's mailbox, so it
+// needs no arm.
+type PingResp struct{ Round }
 
-type LostResp struct{ Seq int64 } // want "missing from the respSeq"
+// LostReq implements ctlReq but no managerLoop arm serves it.
+type LostReq struct{ Round } // want "round request LostReq has no managerLoop arm"
 
-// EpochlessReq rides the round path but cannot be fenced.
-type EpochlessReq struct{ Seq int64 } // want "carries no Epoch int64 field"
+func (*LostReq) ctlType() string { return "ctl.lost" }
 
-// EpochlessResp rides the round path but cannot be fenced.
-type EpochlessResp struct{ Seq int64 } // want "carries no Epoch int64 field"
-
-// NoSeqReq carries no sequence number, so it is not a round message.
-type NoSeqReq struct{ N int }
-
-// PumpReq deliberately bypasses the round path.
-//
-//iocheck:allow ctlmsg fixture: served from a pump, audited
-type PumpReq struct{ Seq int64 }
-
-// BeatMsg is a fully registered shard round message.
+// BeatMsg is a shard pump message with a dispatch arm.
 type BeatMsg struct {
-	Seq   int64
-	Epoch int64
+	Round
 	Shard int
 }
 
-// StrayMsg never made it into the shard registry or a dispatch arm.
-type StrayMsg struct { // want "missing from the shardMsgSeq" "not handled by any shard dispatch"
-	Seq   int64
-	Epoch int64
-	Shard int
-}
-
-// BareMsg is dispatched but unfenced.
-type BareMsg struct { // want "carries no Epoch int64 field"
-	Seq   int64
-	Shard int
-}
-
-// StealReq ends in "Req" but Seq+Shard makes it a shard round message:
-// exempt from the container-round switches (reqSeq/msgTypeFor/managerLoop).
+// StealReq embeds the header but is no ctlReq (no event type): it rides
+// the pump, and shardDispatch handles it.
 type StealReq struct {
+	Round
+	Shard int
+	N     int
+}
+
+// StrayMsg never made it into a dispatch arm.
+type StrayMsg struct { // want "round message StrayMsg is neither a request nor a response"
+	Round
+	Shard int
+}
+
+// NoticeMsg is a subscriber pump notice handled by dispatch.
+type NoticeMsg struct {
+	Round
+	SubID string
+}
+
+// StrayNotice is a pump notice nobody handles.
+type StrayNotice struct { // want "no dispatch/shardDispatch arm handles it"
+	Round
+	SubID string
+}
+
+// LogRecord carries Seq and Epoch as plain fields of a log entry: it does
+// not embed the header, so it is no round message.
+type LogRecord struct {
 	Seq   int64
 	Epoch int64
 	Shard int
 }
 
-// NoticeMsg is a fully registered subscriber round message: a pump
-// notice, handled by dispatch rather than served as a round.
-type NoticeMsg struct {
-	Seq   int64
-	Epoch int64
-	SubID string
-}
-
-// StraySubMsg never made it into the subscriber registry or a dispatch
-// arm.
-type StraySubMsg struct { // want "missing from the subMsgSeq" "not handled by any subscriber dispatch"
-	Seq   int64
-	Epoch int64
-	SubID string
-}
-
-// BareSubMsg is registered and dispatched but unfenced.
-type BareSubMsg struct { // want "carries no Epoch int64 field"
-	Seq   int64
-	SubID string
-}
-
-// SubPingReq carries SubID and ends in Req: a full container round that
-// must satisfy BOTH the container-round and subscriber-family contracts.
-type SubPingReq struct {
-	Seq   int64
-	Epoch int64
-	SubID string
-}
-
-func shardMsgSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *BeatMsg:
-		return r.Seq, true
-	case *BareMsg:
-		return r.Seq, true
-	case *StealReq:
-		return r.Seq, true
-	}
-	return 0, false
+// PumpReq carries a Seq but no header: served from a pump, outside the
+// round contract.
+type PumpReq struct {
+	Seq  int64
+	From string
 }
 
 func shardDispatch(v any) bool {
 	switch v.(type) {
-	case *BeatMsg, *BareMsg, *StealReq:
+	case *BeatMsg, *StealReq:
 		return true
 	}
 	return false
-}
-
-func subMsgSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *NoticeMsg:
-		return r.Seq, true
-	case *BareSubMsg:
-		return r.Seq, true
-	case *SubPingReq:
-		return r.Seq, true
-	}
-	return 0, false
 }
 
 func dispatch(v any) bool {
 	switch v.(type) {
-	case *NoticeMsg, *BareSubMsg:
+	case *NoticeMsg:
 		return true
 	}
 	return false
 }
 
-func reqSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *PingReq:
-		return r.Seq, true
-	case *EpochlessReq:
-		return r.Seq, true
-	case *SubPingReq:
-		return r.Seq, true
-	}
-	return 0, false
-}
+type server struct{ served map[int64]roundMsg }
 
-func respSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *PingResp:
-		return r.Seq, true
-	case *EpochlessResp:
-		return r.Seq, true
+func (s *server) managerLoop(v any) roundMsg {
+	req, ok := v.(ctlReq)
+	if !ok {
+		return nil
 	}
-	return 0, false
-}
-
-func msgTypeFor(req any) string {
+	h := req.round()
 	switch req.(type) {
 	case *PingReq:
-		return "ctl.ping"
-	case *EpochlessReq:
-		return "ctl.epochless"
-	case *SubPingReq:
-		return "ctl.sub_ping"
-	}
-	return "ctl.unknown"
-}
-
-type server struct{ served map[int64]any }
-
-func (s *server) managerLoop(v any) any {
-	switch req := v.(type) {
-	case *PingReq:
-		resp := &PingResp{Seq: req.Seq, Epoch: req.Epoch}
-		s.served[req.Seq] = resp
-		return resp
-	case *EpochlessReq:
-		resp := &EpochlessResp{Seq: req.Seq}
-		s.served[req.Seq] = resp
-		return resp
-	case *SubPingReq:
-		resp := &PingResp{Seq: req.Seq, Epoch: req.Epoch}
-		s.served[req.Seq] = resp
+		resp := &PingResp{Round: Round{Seq: h.Seq, Epoch: h.Epoch}}
+		s.served[h.Seq] = resp
 		return resp
 	}
 	return nil

@@ -22,7 +22,8 @@ func (b *bridge) send(data any) {
 	b.out = append(b.out, &Event{Type: "req", Data: data})
 }
 
-// stampReq assigns Epoch through a helper, the way stampReqEpoch does.
+// stampReq assigns Epoch through a helper; its summary stamps the
+// parameter.
 func stampReq(req *QueryReq, epoch int64) { req.Epoch = epoch }
 
 // good stamps directly before the send.
@@ -71,4 +72,47 @@ func audited(b *bridge, seq int64) {
 	req := &QueryReq{Seq: seq}
 	//iocheck:allow epochset fixture: replay re-sends a cached pre-stamped message, audited
 	b.send(req)
+}
+
+// Round is the header round messages embed; their Seq and Epoch are
+// promoted fields.
+type Round struct {
+	Seq   int64
+	Epoch int64
+}
+
+// QueryResp embeds the header.
+type QueryResp struct {
+	Round
+	Size int
+}
+
+type stone struct{ q []*Event }
+
+func (s *stone) Submit(ev *Event) { s.q = append(s.q, ev) }
+
+// goodHeaderLiteral: the Epoch rides inside the header key.
+func goodHeaderLiteral(s *stone, seq, epoch int64) {
+	resp := &QueryResp{Round: Round{Seq: seq, Epoch: epoch}, Size: 1}
+	s.Submit(&Event{Type: "resp", Data: resp})
+}
+
+// goodHeaderCopy: a whole header copied from the request carries its
+// epoch.
+func goodHeaderCopy(s *stone, req *QueryResp) {
+	resp := &QueryResp{Round: req.Round}
+	s.Submit(&Event{Type: "resp", Data: resp})
+}
+
+// goodHeaderStamp stamps the promoted field.
+func goodHeaderStamp(s *stone, seq, epoch int64) {
+	resp := &QueryResp{Round: Round{Seq: seq}}
+	resp.Epoch = epoch
+	s.Submit(&Event{Type: "resp", Data: resp})
+}
+
+// badHeader sets only the header's Seq before the send.
+func badHeader(s *stone, seq int64) {
+	resp := &QueryResp{Round: Round{Seq: seq}, Size: 1}
+	s.Submit(&Event{Type: "resp", Data: resp}) // want "without Epoch assigned on every path"
 }

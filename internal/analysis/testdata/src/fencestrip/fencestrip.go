@@ -1,9 +1,9 @@
 // Package fencestrip is the chaos cross-check fixture for roundflow: a
-// distilled copy of the container manager's serve loop, with the epoch
-// fence guard the split-brain fix added sitting directly above the serve
-// dispatch. The companion test verifies the loop is clean as written,
-// then strips the guard block and asserts roundflow reports the missing
-// fence at the guard's own line.
+// distilled copy of the container manager's serve loop in the round-header
+// shape internal/core uses, with the epoch fence guard the split-brain fix
+// added sitting directly above the serve dispatch. The companion test
+// verifies the loop is clean as written, then strips the guard block and
+// asserts roundflow reports the missing fence at the guard's own line.
 package fencestrip
 
 type Event struct {
@@ -11,16 +11,31 @@ type Event struct {
 	Data any
 }
 
-type IncreaseReq struct {
+// Round is the header every round message embeds.
+type Round struct {
 	Seq   int64
 	Epoch int64
-	N     int
 }
 
+func (r *Round) round() *Round { return r }
+
+type roundMsg interface{ round() *Round }
+
+type ctlReq interface {
+	roundMsg
+	ctlType() string
+}
+
+type IncreaseReq struct {
+	Round
+	N int
+}
+
+func (*IncreaseReq) ctlType() string { return "ctl.increase" }
+
 type IncreaseResp struct {
-	Seq   int64
-	Epoch int64
-	Size  int
+	Round
+	Size int
 }
 
 type queue struct{ q []*Event }
@@ -35,49 +50,39 @@ func (q *queue) Recv() *Event {
 }
 
 type manager struct {
+	fencing     bool
 	fencedEpoch int64
-	served      map[int64]any
+	served      map[int64]roundMsg
 	size        int
 	out         []*Event
 }
 
-func reqSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Seq, true
-	}
-	return 0, false
-}
-
-func reqEpoch(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Epoch, true
-	}
-	return 0, false
-}
-
-func (m *manager) reply(resp any) {
+// reply stamps the response header and queues it.
+func (m *manager) reply(seq int64, resp roundMsg) {
+	h := resp.round()
+	h.Seq, h.Epoch = seq, m.fencedEpoch
 	m.out = append(m.out, &Event{Type: "resp", Data: resp})
 }
 
 // serveLoop is the distilled manager loop: dedupe retried rounds from
 // the served cache, refuse rounds from deposed manager epochs, then
-// serve.
+// serve — every guard read through the round header.
 func (m *manager) serveLoop(in *queue) {
 	for {
 		ev := in.Recv()
 		if ev == nil {
 			return
 		}
-		seq, hasSeq := reqSeq(ev.Data)
-		if hasSeq {
-			if cached, dup := m.served[seq]; dup {
-				m.reply(cached)
-				continue
-			}
+		req, ok := ev.Data.(ctlReq)
+		if !ok {
+			continue
 		}
-		if e, fenced := reqEpoch(ev.Data); fenced {
+		h := req.round()
+		if cached, dup := m.served[h.Seq]; dup {
+			m.reply(h.Seq, cached)
+			continue
+		}
+		if e := h.Epoch; m.fencing {
 			if e < m.fencedEpoch {
 				continue
 			}
@@ -85,12 +90,12 @@ func (m *manager) serveLoop(in *queue) {
 				m.fencedEpoch = e
 			}
 		}
-		switch req := ev.Data.(type) {
+		switch req := req.(type) {
 		case *IncreaseReq:
 			m.size += req.N
-			resp := &IncreaseResp{Seq: req.Seq, Epoch: m.fencedEpoch, Size: m.size}
-			m.served[seq] = resp
-			m.reply(resp)
+			resp := &IncreaseResp{Size: m.size}
+			m.served[h.Seq] = resp
+			m.reply(h.Seq, resp)
 		}
 	}
 }

@@ -292,3 +292,79 @@ func (m *manager) goodAssertOnCall(n int) {
 		m.count++
 	}
 }
+
+// --- header shape ---
+
+// Round is the embedded round header; roundMsg/ctlReq expose it.
+type Round struct {
+	Seq   int64
+	Epoch int64
+}
+
+func (r *Round) round() *Round { return r }
+
+type roundMsg interface{ round() *Round }
+
+type ctlReq interface {
+	roundMsg
+	ctlType() string
+}
+
+type QueryReq struct {
+	Round
+	Max int
+}
+
+func (*QueryReq) ctlType() string { return "ctl.query" }
+
+type QueryResp struct {
+	Round
+	Size int
+}
+
+// goodHeaderServe dedupes and fences through the header before the
+// state-applying dispatch; asserting to the request interface is not a
+// dispatch.
+func (m *manager) goodHeaderServe(ev *Event, fencing bool) {
+	req, ok := ev.Data.(ctlReq)
+	if !ok {
+		return
+	}
+	h := req.round()
+	if e := h.Epoch; fencing {
+		if e < m.fencedEpoch {
+			return
+		}
+		m.fencedEpoch = e
+	}
+	if _, dup := m.seen[h.Seq]; dup {
+		return
+	}
+	switch req := req.(type) {
+	case *QueryReq:
+		m.count += req.Max
+		resp := &QueryResp{Size: m.count}
+		r := resp.round()
+		r.Seq, r.Epoch = h.Seq, m.fencedEpoch
+		m.out.send(resp)
+	}
+}
+
+// goodHeaderCall stamps the header of a request-interface value and sends
+// it under the budget.
+func (m *manager) goodHeaderCall(mk func() ctlReq) {
+	req := mk()
+	h := req.round()
+	h.Seq, h.Epoch = m.nextSeq, m.fencedEpoch
+	deadline := m.policy.CallTimeout
+	for attempt := int64(0); attempt <= m.policy.CallRetries; attempt++ {
+		m.out.Submit(&Event{Type: req.ctlType(), Data: req})
+		deadline *= 2
+	}
+}
+
+// badHeaderCall sends a request-interface value with no budget.
+func (m *manager) badHeaderCall(mk func() ctlReq) {
+	req := mk()
+	m.out.Submit(&Event{Type: req.ctlType(), Data: req}) // want "no deadline registered" "no retry budget"
+}

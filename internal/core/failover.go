@@ -16,9 +16,6 @@ import (
 // msgGMHeartbeat is the primary's liveness beacon to the standby.
 const msgGMHeartbeat = "ctl.gm_heartbeat"
 
-// msgRehome redirects a container's upward traffic to a new manager.
-const msgRehome = "ctl.rehome"
-
 // GMHeartbeat is the beacon payload. Epoch lets the standby fence its
 // takeover above the primary's epoch, and lets an active manager detect
 // a stale peer still beating after a healed partition; Inbox gives the
@@ -32,22 +29,20 @@ type GMHeartbeat struct {
 // RehomeReq points the container's monitoring/response bridge at a new
 // global manager inbox.
 type RehomeReq struct {
-	Seq   int64
-	Epoch int64
+	Round
 	Inbox *evpath.Stone
 }
 
+func (*RehomeReq) ctlType() string { return "ctl.rehome" }
+
 // RehomeResp acknowledges the switch (sent via the NEW bridge — its
 // arrival proves the new path works).
-type RehomeResp struct {
-	Seq   int64
-	Epoch int64
-}
+type RehomeResp struct{ Round }
 
 // Rehome redirects a container to this manager via a control round.
 func (gm *GlobalManager) Rehome(p *sim.Proc, target string) bool {
 	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &RehomeReq{Seq: seq, Inbox: gm.inbox()} },
+		func() ctlReq { return &RehomeReq{Inbox: gm.inbox()} },
 		func(d any) bool { r, ok := d.(*RehomeResp); return ok && r.Seq == gm.seq },
 	).(*RehomeResp)
 	return resp != nil

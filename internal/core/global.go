@@ -461,9 +461,8 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 		}
 	case *SubNotice:
 		gm.lastHeard[data.From] = p.Now()
-		seq, _ := subMsgSeq(data)
 		gm.rt.tracer.Instant(ev.Ctx(), "ctl", "sub-notice").
-			Container(data.From).Node(gm.node).AttrInt("seq", seq).End()
+			Container(data.From).Node(gm.node).AttrInt("seq", data.Seq).End()
 		// Dedupe per subscriber on the reconnect generation: a reconnect
 		// storm collapses to one resume round per subscriber. Defer the
 		// round to the tick — dispatch must not park.
@@ -541,8 +540,9 @@ func (gm *GlobalManager) takePending(match func(any) bool) any {
 // sequence number (container managers deduplicate, so mutating requests
 // never execute twice) and a doubled deadline. When the retry budget runs
 // out the container is marked suspect and the call gives up — the policy
-// tick proceeds instead of blocking forever on a dead container.
-func (gm *GlobalManager) call(p *sim.Proc, target string, mk func(seq int64) any, match func(any) bool) any {
+// tick proceeds instead of blocking forever on a dead container. mk builds
+// the request; call stamps its Seq and Epoch through the round header.
+func (gm *GlobalManager) call(p *sim.Proc, target string, mk func() ctlReq, match func(any) bool) any {
 	v := gm.callRound(p, target, mk, match)
 	if v != nil {
 		// An answered round is proof of life for the silence probe.
@@ -551,7 +551,7 @@ func (gm *GlobalManager) call(p *sim.Proc, target string, mk func(seq int64) any
 	return v
 }
 
-func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64) any, match func(any) bool) any {
+func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func() ctlReq, match func(any) bool) any {
 	// Sequence numbers come from a runtime-wide counter so the primary's
 	// and the standby's rounds never collide in a container's dedup cache
 	// across a failover.
@@ -569,9 +569,10 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 	if gm.suspect[target] {
 		return nil
 	}
-	req := mk(gm.seq)
-	stampReqEpoch(req, gm.epoch)
-	kind := strings.TrimPrefix(msgTypeFor(req), "ctl.")
+	req := mk()
+	h := req.round()
+	h.Seq, h.Epoch = gm.seq, gm.epoch
+	kind := roundKind(req)
 	timeout := gm.policy.CallTimeout
 	for attempt := 0; attempt <= gm.policy.CallRetries; attempt++ {
 		if gm.dead {
@@ -585,7 +586,7 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 		if gm.shard >= 0 {
 			sp.AttrInt("shard", int64(gm.shard))
 		}
-		ev := &evpath.Event{Type: msgTypeFor(req), Size: ctlMsgBytes, Data: req}
+		ev := &evpath.Event{Type: req.ctlType(), Size: ctlMsgBytes, Data: req}
 		ev.Span = sp.ID()
 		gm.rt.noteRound(RoundRecord{T: p.Now(), Epoch: gm.epoch, Seq: gm.seq,
 			Node: gm.node, Target: target, Kind: kind, Retry: attempt,
@@ -640,6 +641,10 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 	return nil
 }
 
+// roundKind names a request's round: RoundRecord.Kind and the
+// "round.<kind>" trace span.
+func roundKind(req ctlReq) string { return strings.TrimPrefix(req.ctlType(), "ctl.") }
+
 // drainResponses moves everything left in the (closed) response mailbox
 // into the pending buffer so responses destined for other callers are not
 // lost with the mailbox.
@@ -662,7 +667,7 @@ func (gm *GlobalManager) purgeStale() {
 	}
 	kept := gm.pending[:0]
 	for _, v := range gm.pending {
-		if s, ok := respSeq(v); !ok || s >= gm.seq {
+		if m, ok := v.(roundMsg); !ok || m.round().Seq >= gm.seq {
 			kept = append(kept, v)
 		}
 	}
@@ -684,71 +689,11 @@ func (gm *GlobalManager) markSuspect(p *sim.Proc, target string) {
 		Detail: "control rounds exhausted retries"})
 }
 
-func msgTypeFor(req any) string {
-	switch req.(type) {
-	case *IncreaseReq:
-		return msgIncrease
-	case *DecreaseReq:
-		return msgDecrease
-	case *OfflineReq:
-		return msgOffline
-	case *SetOutputReq:
-		return msgSetOutput
-	case *QueryReq:
-		return msgQuery
-	case *ActivateReq:
-		return msgActivate
-	case *AddTapReq:
-		return msgAddTap
-	case *ResendReq:
-		return msgResend
-	case *RehomeReq:
-		return msgRehome
-	case *SubResumeReq:
-		return msgSubResume
-	case *SubReplayReq:
-		return msgSubReplay
-	}
-	return "ctl.unknown"
-}
-
-// respSeq extracts the sequence number from a protocol response (ok=false
-// for non-protocol payloads).
-func respSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseResp:
-		return r.Seq, true
-	case *DecreaseResp:
-		return r.Seq, true
-	case *OfflineResp:
-		return r.Seq, true
-	case *SetOutputResp:
-		return r.Seq, true
-	case *QueryResp:
-		return r.Seq, true
-	case *ActivateResp:
-		return r.Seq, true
-	case *AddTapResp:
-		return r.Seq, true
-	case *ResendResp:
-		return r.Seq, true
-	case *RehomeResp:
-		return r.Seq, true
-	case *SubResumeResp:
-		return r.Seq, true
-	case *SubReplayResp:
-		return r.Seq, true
-	case *FenceResp:
-		return r.Seq, true
-	}
-	return 0, false
-}
-
 // Increase grows a container onto the given nodes via the full protocol
 // round; it returns the container-side cost breakdown.
 func (gm *GlobalManager) Increase(p *sim.Proc, target string, nodes []*cluster.Node) *IncreaseResp {
 	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &IncreaseReq{Seq: seq, Nodes: nodes} },
+		func() ctlReq { return &IncreaseReq{Nodes: nodes} },
 		func(d any) bool { r, ok := d.(*IncreaseResp); return ok && r.Seq == gm.seq },
 	).(*IncreaseResp)
 	if resp != nil {
@@ -761,7 +706,7 @@ func (gm *GlobalManager) Increase(p *sim.Proc, target string, nodes []*cluster.N
 // the spare pool; it returns the protocol response.
 func (gm *GlobalManager) Decrease(p *sim.Proc, target string, n int) *DecreaseResp {
 	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &DecreaseReq{Seq: seq, N: n} },
+		func() ctlReq { return &DecreaseReq{N: n} },
 		func(d any) bool { r, ok := d.(*DecreaseResp); return ok && r.Seq == gm.seq },
 	).(*DecreaseResp)
 	if resp != nil {
@@ -774,7 +719,7 @@ func (gm *GlobalManager) Decrease(p *sim.Proc, target string, n int) *DecreaseRe
 // Offline removes a container (and lets the caller handle cascades).
 func (gm *GlobalManager) Offline(p *sim.Proc, target string) *OfflineResp {
 	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &OfflineReq{Seq: seq} },
+		func() ctlReq { return &OfflineReq{} },
 		func(d any) bool { r, ok := d.(*OfflineResp); return ok && r.Seq == gm.seq },
 	).(*OfflineResp)
 	if resp != nil {
@@ -788,7 +733,7 @@ func (gm *GlobalManager) Offline(p *sim.Proc, target string) *OfflineResp {
 // SetOutput redirects a container's output to disk with provenance.
 func (gm *GlobalManager) SetOutput(p *sim.Proc, target, provenance string) {
 	gm.call(p, target,
-		func(seq int64) any { return &SetOutputReq{Seq: seq, Provenance: provenance} },
+		func() ctlReq { return &SetOutputReq{Provenance: provenance} },
 		func(d any) bool { r, ok := d.(*SetOutputResp); return ok && r.Seq == gm.seq },
 	)
 	gm.record(p, Action{T: p.Now(), Kind: "set_output", Target: target, Detail: provenance})
@@ -797,7 +742,7 @@ func (gm *GlobalManager) SetOutput(p *sim.Proc, target, provenance string) {
 // Query asks a container's local manager for its needs.
 func (gm *GlobalManager) Query(p *sim.Proc, target string, max int) *QueryResp {
 	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &QueryReq{Seq: seq, Max: max} },
+		func() ctlReq { return &QueryReq{Max: max} },
 		func(d any) bool { r, ok := d.(*QueryResp); return ok && r.Seq == gm.seq },
 	).(*QueryResp)
 	return resp
@@ -808,7 +753,7 @@ func (gm *GlobalManager) Query(p *sim.Proc, target string, max int) *QueryResp {
 // plane's control leg, issued in response to a consumer's GapNotice).
 func (gm *GlobalManager) Resend(p *sim.Proc, target string) *ResendResp {
 	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &ResendReq{Seq: seq} },
+		func() ctlReq { return &ResendReq{} },
 		func(d any) bool { r, ok := d.(*ResendResp); return ok && r.Seq == gm.seq },
 	).(*ResendResp)
 	if resp != nil && resp.Redelivered > 0 {
@@ -840,7 +785,7 @@ func (gm *GlobalManager) issueResends(p *sim.Proc) {
 // Activate toggles a container's consumption.
 func (gm *GlobalManager) Activate(p *sim.Proc, target string, active bool) {
 	gm.call(p, target,
-		func(seq int64) any { return &ActivateReq{Seq: seq, Active: active} },
+		func() ctlReq { return &ActivateReq{Active: active} },
 		func(d any) bool { r, ok := d.(*ActivateResp); return ok && r.Seq == gm.seq },
 	)
 	gm.record(p, Action{T: p.Now(), Kind: "activate", Target: target,

@@ -148,14 +148,13 @@ func (mm *MetaManager) brokerSteal(p *sim.Proc, req *StealReq) {
 		return // a deposed shard manager's request; its successor re-asks
 	}
 	donor := shardmgr.PickDonor(mm.shardSpare, req.Shard)
-	seq, _ := shardMsgSeq(req)
 	if donor < 0 || mm.shardInbox[donor] == nil {
 		//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
 		mm.bridgeTo(req.Inbox).Submit(p, &evpath.Event{Type: msgStealGrant,
 			Size: ctlMsgBytes,
-			Data: &StealGrant{Seq: req.Seq, Epoch: req.Epoch, Shard: -1}})
+			Data: &StealGrant{Round: req.Round, Shard: -1}})
 		mm.rt.tracer.Instant(0, "ctl", "steal-dry").Node(mm.node).
-			AttrInt("shard", int64(req.Shard)).AttrInt("seq", seq).End()
+			AttrInt("shard", int64(req.Shard)).AttrInt("seq", req.Seq).End()
 		return
 	}
 	// Debit the advertised pool so back-to-back requests inside one beat
@@ -170,11 +169,11 @@ func (mm *MetaManager) brokerSteal(p *sim.Proc, req *StealReq) {
 		Detail: fmt.Sprintf("donor shard %d", donor)})
 	mm.rt.tracer.Instant(0, "ctl", "steal-broker").Node(mm.node).
 		AttrInt("shard", int64(req.Shard)).AttrInt("donor", int64(donor)).
-		AttrInt("seq", seq).End()
+		AttrInt("seq", req.Seq).End()
 	//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
 	mm.bridgeTo(mm.shardInbox[donor]).Submit(p, &evpath.Event{
 		Type: msgStealNotice, Size: ctlMsgBytes,
-		Data: &StealNotice{Seq: req.Seq, Epoch: req.Epoch, Shard: req.Shard,
+		Data: &StealNotice{Round: req.Round, Shard: req.Shard,
 			N: req.N, Inbox: req.Inbox}})
 }
 
@@ -207,7 +206,7 @@ func (mm *MetaManager) broadcastCrack(p *sim.Proc, data *CrackRelay) {
 	}
 	mm.crackSeen = true
 	for s := 0; s < mm.shards; s++ {
-		fwd := &CrackRelay{Seq: data.Seq, Epoch: data.Epoch, Shard: s,
+		fwd := &CrackRelay{Round: data.Round, Shard: s,
 			From: data.From, Step: data.Step}
 		if inbox := mm.shardInbox[s]; inbox != nil {
 			//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
@@ -249,7 +248,8 @@ func (mm *MetaManager) tick(p *sim.Proc) {
 		//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
 		mm.bridgeTo(inbox).Submit(p, &evpath.Event{Type: msgPromote,
 			Size: ctlMsgBytes,
-			Data: &PromoteNotice{Seq: mm.seq, Epoch: mm.shardEpoch[s], Shard: s}})
+			Data: &PromoteNotice{Round: Round{Seq: mm.seq, Epoch: mm.shardEpoch[s]},
+				Shard: s}})
 	}
 }
 

@@ -11,16 +11,9 @@ import (
 	"repro/internal/smartpointer"
 )
 
-// Control message event types on the management overlay.
+// Control message event types on the management overlay. Each round
+// request names its own event type through ctlReq.ctlType.
 const (
-	msgIncrease      = "ctl.increase"
-	msgDecrease      = "ctl.decrease"
-	msgOffline       = "ctl.offline"
-	msgSetOutput     = "ctl.set_output"
-	msgQuery         = "ctl.query"
-	msgActivate      = "ctl.activate"
-	msgAddTap        = "ctl.add_tap"
-	msgResend        = "ctl.resend"
 	msgResp          = "ctl.resp"
 	msgCrackDetected = "ctl.crack"
 	msgGap           = "ctl.gap"
@@ -31,20 +24,44 @@ const (
 	msgHealNotice = "ctl.heal_notice" // LM -> GM: heal outcome, for the action log
 )
 
+// Round is the header every control-round message embeds: the round's
+// sequence number (the container's dedupe key and the manager's response
+// filter) and the issuing manager's fencing epoch. gm.call stamps both on
+// every request, managerLoop fences and dedupes through it, and c.reply
+// stamps every response, so a message that does not embed the header
+// cannot ride the round path — it does not compile.
+type Round struct {
+	Seq   int64
+	Epoch int64
+}
+
+func (r *Round) round() *Round { return r }
+
+// roundMsg is any message carrying the round header.
+type roundMsg interface{ round() *Round }
+
+// ctlReq is a control-round request: the header plus the ctl.* event type
+// it travels the overlay as. gm.call accepts nothing else, and the ctlmsg
+// analyzer requires a managerLoop arm for every implementation.
+type ctlReq interface {
+	roundMsg
+	ctlType() string
+}
+
 // IncreaseReq asks a container to grow onto the given nodes (paper
 // Fig. 3). The global manager has already reserved the nodes.
 type IncreaseReq struct {
-	Seq   int64
-	Epoch int64
+	Round
 	Nodes []*cluster.Node
 }
+
+func (*IncreaseReq) ctlType() string { return "ctl.increase" }
 
 // IncreaseResp reports a completed increase with its cost breakdown: the
 // aprun-like launch (reported separately, as the paper factors it out of
 // Fig. 4) and the intra-container metadata exchange that dominates.
 type IncreaseResp struct {
-	Seq    int64
-	Epoch  int64
+	Round
 	Launch sim.Time
 	Intra  sim.Time
 	Size   int
@@ -52,17 +69,17 @@ type IncreaseResp struct {
 
 // DecreaseReq asks a container to shed n replicas.
 type DecreaseReq struct {
-	Seq   int64
-	Epoch int64
-	N     int
+	Round
+	N int
 }
+
+func (*DecreaseReq) ctlType() string { return "ctl.decrease" }
 
 // DecreaseResp returns the released nodes and the cost breakdown: the
 // upstream DataTap writer pause (the dominant Fig. 5 term) and the victim
 // drain.
 type DecreaseResp struct {
-	Seq       int64
-	Epoch     int64
+	Round
 	Nodes     []*cluster.Node
 	PauseWait sim.Time
 	Drain     sim.Time
@@ -70,15 +87,13 @@ type DecreaseResp struct {
 }
 
 // OfflineReq takes the container offline entirely.
-type OfflineReq struct {
-	Seq   int64
-	Epoch int64
-}
+type OfflineReq struct{ Round }
+
+func (*OfflineReq) ctlType() string { return "ctl.offline" }
 
 // OfflineResp returns all nodes and the count of queued steps dropped.
 type OfflineResp struct {
-	Seq     int64
-	Epoch   int64
+	Round
 	Nodes   []*cluster.Node
 	Dropped int
 }
@@ -86,28 +101,26 @@ type OfflineResp struct {
 // SetOutputReq redirects a container's output to disk with provenance
 // (the upstream half of an offline transition).
 type SetOutputReq struct {
-	Seq        int64
-	Epoch      int64
+	Round
 	Provenance string
 }
 
+func (*SetOutputReq) ctlType() string { return "ctl.set_output" }
+
 // SetOutputResp acknowledges the switch.
-type SetOutputResp struct {
-	Seq   int64
-	Epoch int64
-}
+type SetOutputResp struct{ Round }
 
 // QueryReq asks the local manager what it needs to sustain the SLA.
 type QueryReq struct {
-	Seq   int64
-	Epoch int64
-	Max   int
+	Round
+	Max int
 }
+
+func (*QueryReq) ctlType() string { return "ctl.query" }
 
 // QueryResp carries the local manager's answer.
 type QueryResp struct {
-	Seq    int64
-	Epoch  int64
+	Round
 	Size   int
 	Needed int // total replicas needed; 0 = unattainable within Max
 	Period sim.Time
@@ -115,45 +128,39 @@ type QueryResp struct {
 
 // ActivateReq toggles consumption (the pipeline's dynamic branch).
 type ActivateReq struct {
-	Seq    int64
-	Epoch  int64
+	Round
 	Active bool
 }
 
+func (*ActivateReq) ctlType() string { return "ctl.activate" }
+
 // ActivateResp acknowledges the toggle.
-type ActivateResp struct {
-	Seq   int64
-	Epoch int64
-}
+type ActivateResp struct{ Round }
 
 // AddTapReq attaches an observer channel that receives a duplicate of
 // every step the container forwards (mid-run visualization taps).
 type AddTapReq struct {
-	Seq   int64
-	Epoch int64
-	Ch    *datatap.Channel
+	Round
+	Ch *datatap.Channel
 }
 
+func (*AddTapReq) ctlType() string { return "ctl.add_tap" }
+
 // AddTapResp acknowledges the tap.
-type AddTapResp struct {
-	Seq   int64
-	Epoch int64
-}
+type AddTapResp struct{ Round }
 
 // ResendReq asks a container to re-emit retained output steps whose
 // descriptors were lost in flight (the at-least-once data plane's control
 // leg). The serving container replays every lost-but-retained step onto
 // its output channel immediately, bypassing the channel's own redelivery
 // backoff.
-type ResendReq struct {
-	Seq   int64
-	Epoch int64
-}
+type ResendReq struct{ Round }
+
+func (*ResendReq) ctlType() string { return "ctl.resend" }
 
 // ResendResp reports how many steps the container re-emitted.
 type ResendResp struct {
-	Seq         int64
-	Epoch       int64
+	Round
 	Redelivered int
 }
 
@@ -176,11 +183,9 @@ type GapNotice struct {
 // SpareReq is the replica-restart protocol's first leg: a local manager
 // that detected crashed replicas asks the global manager for replacement
 // nodes. It travels upward on the container's control bridge and is served
-// from the global manager's pump (not the synchronous call path), so it is
-// exempt from the round-dispatch exhaustiveness rule: its Seq matches the
-// grant to a heal round, it is never retried by the GM's call machinery.
-//
-//iocheck:allow ctlmsg served from the GM pump, not the synchronous round path
+// from the global manager's pump (not the synchronous call path), so it
+// carries no round header: its Seq matches the grant to a heal round, and
+// the GM's call machinery never retries it.
 type SpareReq struct {
 	Seq  int64
 	From string
@@ -213,7 +218,7 @@ type HealNotice struct {
 // at-least-once delivery under call timeouts) resends the original
 // response instead of executing a mutating operation twice.
 func (c *Container) managerLoop(p *sim.Proc) {
-	served := make(map[int64]any)
+	served := make(map[int64]roundMsg)
 	for {
 		var ev *evpath.Event
 		if len(c.deferred) > 0 {
@@ -240,77 +245,79 @@ func (c *Container) managerLoop(p *sim.Proc) {
 			}
 			continue
 		}
-		seq, hasSeq := reqSeq(ev.Data)
-		if e, fenced := reqEpoch(ev.Data); fenced && c.rt.fencingOn() {
+		req, ok := ev.Data.(ctlReq)
+		if !ok {
+			c.rt.fail(fmt.Errorf("core: container %s got unknown control %T",
+				c.spec.Name, ev.Data))
+			return
+		}
+		h := req.round()
+		if e := h.Epoch; c.rt.fencingOn() {
 			if e < c.fencedEpoch {
 				// A round from a deposed manager epoch. Refuse it — even a
 				// cached one: serving (or re-serving) it would let a stale
 				// primary keep mutating the pipeline after a failover.
-				c.fence(p, seq, e, ev.Ctx())
+				c.fence(p, h.Seq, e, ev.Ctx())
 				continue
 			}
 			if e > c.fencedEpoch {
 				c.fencedEpoch = e
 			}
 		}
-		if hasSeq {
-			if cached, dup := served[seq]; dup {
-				// A retried round answered from the cache: visible in the
-				// trace as an instant chained to the retry's round span.
-				c.rt.tracer.Instant(ev.Ctx(), "ctl", "dedupe").
-					Container(c.spec.Name).Node(c.mgrEV.Node()).
-					AttrInt("seq", seq).End()
-				c.reply(p, cached)
-				if _, wasOffline := cached.(*OfflineResp); wasOffline {
-					return
-				}
-				continue
+		if cached, dup := served[h.Seq]; dup {
+			// A retried round answered from the cache: visible in the
+			// trace as an instant chained to the retry's round span.
+			c.rt.tracer.Instant(ev.Ctx(), "ctl", "dedupe").
+				Container(c.spec.Name).Node(c.mgrEV.Node()).
+				AttrInt("seq", h.Seq).End()
+			c.reply(p, h.Seq, cached)
+			if _, wasOffline := cached.(*OfflineResp); wasOffline {
+				return
 			}
+			continue
 		}
 		sp := c.rt.tracer.Begin(ev.Ctx(), "ctl",
 			"serve."+strings.TrimPrefix(ev.Type, "ctl.")).
 			Container(c.spec.Name).Node(c.mgrEV.Node())
-		var resp any
+		var resp roundMsg
 		exit := false
-		switch req := ev.Data.(type) {
+		switch req := req.(type) {
 		case *IncreaseReq:
 			launch, intra := c.doIncrease(p, req.Nodes)
-			resp = &IncreaseResp{Seq: req.Seq, Launch: launch, Intra: intra,
-				Size: len(c.replicas)}
+			resp = &IncreaseResp{Launch: launch, Intra: intra, Size: len(c.replicas)}
 		case *DecreaseReq:
 			nodes, pause, drain := c.doDecrease(p, req.N)
-			resp = &DecreaseResp{Seq: req.Seq, Nodes: nodes, PauseWait: pause,
-				Drain: drain, Size: len(c.replicas)}
+			resp = &DecreaseResp{Nodes: nodes, PauseWait: pause, Drain: drain,
+				Size: len(c.replicas)}
 		case *OfflineReq:
 			nodes, dropped := c.doOffline(p)
-			resp = &OfflineResp{Seq: req.Seq, Nodes: nodes, Dropped: dropped}
+			resp = &OfflineResp{Nodes: nodes, Dropped: dropped}
 			exit = true // the manager itself shuts down with its container
 		case *SetOutputReq:
 			c.doSetOutput(req.Provenance)
-			resp = &SetOutputResp{Seq: req.Seq}
+			resp = &SetOutputResp{}
 		case *QueryReq:
-			resp = &QueryResp{Seq: req.Seq, Size: len(c.replicas),
+			resp = &QueryResp{Size: len(c.replicas),
 				Needed: c.ReplicasNeeded(req.Max), Period: c.ThroughputPeriod()}
 		case *ActivateReq:
 			c.active = req.Active
-			resp = &ActivateResp{Seq: req.Seq}
+			resp = &ActivateResp{}
 		case *AddTapReq:
 			c.doAddTap(req.Ch)
-			resp = &AddTapResp{Seq: req.Seq}
+			resp = &AddTapResp{}
 		case *ResendReq:
 			n := 0
 			if c.output != nil {
 				n = c.output.RedeliverLost(p)
 			}
-			resp = &ResendResp{Seq: req.Seq, Redelivered: n}
+			resp = &ResendResp{Redelivered: n}
 		case *SubResumeReq:
 			cursor, lag, fromSpill, ok := c.serveSubResume(req.SubID)
-			resp = &SubResumeResp{Seq: req.Seq, SubID: req.SubID, Cursor: cursor,
-				Lag: lag, FromSpill: fromSpill,
-				NeedReplay: ok && lag > 0 && !fromSpill, Ok: ok}
+			resp = &SubResumeResp{SubID: req.SubID, Cursor: cursor, Lag: lag,
+				FromSpill: fromSpill, NeedReplay: ok && lag > 0 && !fromSpill, Ok: ok}
 		case *SubReplayReq:
 			staged, ok := c.serveSubReplay(req.SubID, req.Cursor)
-			resp = &SubReplayResp{Seq: req.Seq, SubID: req.SubID, Staged: staged, Ok: ok}
+			resp = &SubReplayResp{SubID: req.SubID, Staged: staged, Ok: ok}
 		case *RehomeReq:
 			// Keep the previous upward bridge alive: it is the only path a
 			// FenceResp can take back to the manager it is deposing.
@@ -323,18 +330,15 @@ func (c *Container) managerLoop(p *sim.Proc) {
 				// The probe must follow the new upward path.
 				c.probe.Out = c.toGM
 			}
-			resp = &RehomeResp{Seq: req.Seq}
+			resp = &RehomeResp{}
 		default:
 			c.rt.fail(fmt.Errorf("core: container %s got unknown control %T",
 				c.spec.Name, ev.Data))
 			sp.Attr("outcome", "unknown").End()
 			return
 		}
-		stampRespEpoch(resp, c.fencedEpoch)
-		if hasSeq {
-			served[seq] = resp
-		}
-		c.reply(p, resp)
+		served[h.Seq] = resp
+		c.reply(p, h.Seq, resp)
 		sp.End()
 		if exit {
 			return
@@ -342,38 +346,14 @@ func (c *Container) managerLoop(p *sim.Proc) {
 	}
 }
 
-// reqSeq extracts the sequence number from a protocol request (ok=false
-// for non-round messages).
-func reqSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Seq, true
-	case *DecreaseReq:
-		return r.Seq, true
-	case *OfflineReq:
-		return r.Seq, true
-	case *SetOutputReq:
-		return r.Seq, true
-	case *QueryReq:
-		return r.Seq, true
-	case *ActivateReq:
-		return r.Seq, true
-	case *AddTapReq:
-		return r.Seq, true
-	case *ResendReq:
-		return r.Seq, true
-	case *RehomeReq:
-		return r.Seq, true
-	case *SubResumeReq:
-		return r.Seq, true
-	case *SubReplayReq:
-		return r.Seq, true
-	}
-	return 0, false
-}
-
-func (c *Container) reply(p *sim.Proc, data any) {
-	c.toGM.Submit(p, &evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: data})
+// reply sends a round response up the control bridge, stamping its header
+// with the round's Seq and the container's fenced epoch. Re-stamping a
+// cached response is a no-op: a retry that passed the fence carries the
+// epoch the original serve raised fencedEpoch to.
+func (c *Container) reply(p *sim.Proc, seq int64, resp roundMsg) {
+	h := resp.round()
+	h.Seq, h.Epoch = seq, c.fencedEpoch
+	c.toGM.Submit(p, &evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: resp})
 }
 
 // doIncrease implements the increase protocol's container-side legs

@@ -276,3 +276,32 @@ func TestStateString(t *testing.T) {
 		t.Fatal("state strings wrong")
 	}
 }
+
+// TestRoundWireStrings pins every round request's overlay event type and
+// round kind. The kind is RoundRecord.Kind, which the benchmark digests
+// hash, and names the "round.<kind>" trace span.
+func TestRoundWireStrings(t *testing.T) {
+	for _, tc := range []struct {
+		req         ctlReq
+		event, span string
+	}{
+		{&IncreaseReq{}, "ctl.increase", "round.increase"},
+		{&DecreaseReq{}, "ctl.decrease", "round.decrease"},
+		{&OfflineReq{}, "ctl.offline", "round.offline"},
+		{&SetOutputReq{}, "ctl.set_output", "round.set_output"},
+		{&QueryReq{}, "ctl.query", "round.query"},
+		{&ActivateReq{}, "ctl.activate", "round.activate"},
+		{&AddTapReq{}, "ctl.add_tap", "round.add_tap"},
+		{&ResendReq{}, "ctl.resend", "round.resend"},
+		{&RehomeReq{}, "ctl.rehome", "round.rehome"},
+		{&SubResumeReq{}, "ctl.sub_resume", "round.sub_resume"},
+		{&SubReplayReq{}, "ctl.sub_replay", "round.sub_replay"},
+	} {
+		if got := tc.req.ctlType(); got != tc.event {
+			t.Errorf("%T event type = %q, want %q", tc.req, got, tc.event)
+		}
+		if got := "round." + roundKind(tc.req); got != tc.span {
+			t.Errorf("%T span = %q, want %q", tc.req, got, tc.span)
+		}
+	}
+}

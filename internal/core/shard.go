@@ -19,11 +19,11 @@ import (
 // cross-shard GapNotices and crack detection, and promoting a standby
 // shard manager when a primary dies.
 //
-// Every message below is a "shard round" message: it carries Seq, Epoch,
-// and Shard. The ctlmsg analyzer requires all three fields and an entry
-// in shardMsgSeq plus a dispatch arm (metaDispatch or shardDispatch) for
-// each — the same exhaustiveness discipline the container round messages
-// get from reqSeq/respSeq.
+// Every message below is a "shard round" message: it embeds the Round
+// header (Seq, Epoch) and carries Shard. None is a ctlReq — they are
+// pump-to-pump traffic, never served by managerLoop — so the ctlmsg
+// analyzer requires a dispatch arm ((*MetaManager).dispatch or
+// shardDispatch) for each instead.
 //
 // Steal fencing: a StealReq carries the requesting shard manager's epoch;
 // the meta-manager drops requests below the highest epoch it has heard
@@ -48,8 +48,7 @@ const (
 // Shard is the requesting (beneficiary) shard; Inbox is where the
 // eventual StealGrant must land.
 type StealReq struct {
-	Seq   int64
-	Epoch int64
+	Round
 	Shard int
 	N     int
 	Inbox *evpath.Stone
@@ -59,8 +58,7 @@ type StealReq struct {
 // to the beneficiary shard. Shard and Epoch identify the *beneficiary*
 // (echoed from the StealReq) so the grant can be fenced at arrival.
 type StealNotice struct {
-	Seq   int64
-	Epoch int64
+	Round
 	Shard int
 	N     int
 	Inbox *evpath.Stone
@@ -71,8 +69,7 @@ type StealNotice struct {
 // receiver whose epoch has since changed drops the grant. An empty grant
 // (no donor had nodes) clears the beneficiary's pending-steal latch.
 type StealGrant struct {
-	Seq   int64
-	Epoch int64
+	Round
 	Shard int
 	Nodes []*cluster.Node
 }
@@ -81,9 +78,8 @@ type StealGrant struct {
 // liveness, current epoch, advertised spare-pool size, and the inbox
 // cross-shard traffic for this shard should be sent to.
 type ShardBeat struct {
+	Round
 	At    sim.Time
-	Seq   int64
-	Epoch int64
 	Shard int
 	Spare int
 	Inbox *evpath.Stone
@@ -95,8 +91,7 @@ type ShardBeat struct {
 // the relaying (reader) shard; Upstream names the container owing the
 // resend.
 type GapRelay struct {
-	Seq      int64
-	Epoch    int64
+	Round
 	Shard    int
 	Upstream string
 }
@@ -105,8 +100,7 @@ type GapRelay struct {
 // shard relays to the meta-manager, which broadcasts to every shard so
 // each can run its own dynamic-branch activation.
 type CrackRelay struct {
-	Seq   int64
-	Epoch int64
+	Round
 	Shard int
 	From  string
 	Step  int64
@@ -117,33 +111,8 @@ type CrackRelay struct {
 // meta-manager heard from the dead primary, so the standby fences above
 // it even if it never heard a primary heartbeat itself.
 type PromoteNotice struct {
-	Seq   int64
-	Epoch int64
+	Round
 	Shard int
-}
-
-// shardMsgSeq extracts the sequence number from a shard round message
-// (ok=false for everything else). The meta-manager stamps it on its
-// trace instants; the ctlmsg analyzer uses the switch as the
-// message-family registry.
-func shardMsgSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *StealReq:
-		return r.Seq, true
-	case *StealNotice:
-		return r.Seq, true
-	case *StealGrant:
-		return r.Seq, true
-	case *ShardBeat:
-		return r.Seq, true
-	case *GapRelay:
-		return r.Seq, true
-	case *CrackRelay:
-		return r.Seq, true
-	case *PromoteNotice:
-		return r.Seq, true
-	}
-	return 0, false
 }
 
 // managed returns the containers this manager is responsible for: its
@@ -217,10 +186,9 @@ func (gm *GlobalManager) requestSteal(p *sim.Proc, n int) {
 		return
 	}
 	gm.stealPending = true
-	gm.shardSeq++
 	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
 	gm.toMeta.Submit(p, &evpath.Event{Type: msgStealReq, Size: ctlMsgBytes,
-		Data: &StealReq{Seq: gm.shardSeq, Epoch: gm.epoch, Shard: gm.shard,
+		Data: &StealReq{Round: gm.nextShardRound(), Shard: gm.shard,
 			N: n, Inbox: gm.root}})
 }
 
@@ -254,7 +222,7 @@ func (gm *GlobalManager) serveSteal(p *sim.Proc, req *StealNotice) {
 	//iocheck:allow vtblock peer bridges take the forward() courier path, which enqueues without parking
 	gm.bridgeTo(req.Inbox).Submit(p, &evpath.Event{Type: msgStealGrant,
 		Size: ctlMsgBytes,
-		Data: &StealGrant{Seq: req.Seq, Epoch: req.Epoch, Shard: gm.shard,
+		Data: &StealGrant{Round: req.Round, Shard: gm.shard,
 			Nodes: grant}})
 }
 
@@ -283,10 +251,9 @@ func (gm *GlobalManager) acceptSteal(p *sim.Proc, g *StealGrant) {
 //
 //iocheck:nonblocking
 func (gm *GlobalManager) relayGap(p *sim.Proc, upstream string) {
-	gm.shardSeq++
 	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
 	gm.toMeta.Submit(p, &evpath.Event{Type: msgGapRelay, Size: ctlMsgBytes,
-		Data: &GapRelay{Seq: gm.shardSeq, Epoch: gm.epoch, Shard: gm.shard,
+		Data: &GapRelay{Round: gm.nextShardRound(), Shard: gm.shard,
 			Upstream: upstream}})
 }
 
@@ -300,11 +267,17 @@ func (gm *GlobalManager) relayCrack(p *sim.Proc, n *CrackNotice) {
 		return
 	}
 	gm.crackRelayed = true
-	gm.shardSeq++
 	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
 	gm.toMeta.Submit(p, &evpath.Event{Type: msgCrackRelay, Size: ctlMsgBytes,
-		Data: &CrackRelay{Seq: gm.shardSeq, Epoch: gm.epoch, Shard: gm.shard,
+		Data: &CrackRelay{Round: gm.nextShardRound(), Shard: gm.shard,
 			From: n.From, Step: n.Step}})
+}
+
+// nextShardRound returns the header for this manager's next shard round
+// message.
+func (gm *GlobalManager) nextShardRound() Round {
+	gm.shardSeq++
+	return Round{Seq: gm.shardSeq, Epoch: gm.epoch}
 }
 
 // bridgeTo returns (creating and caching on first use) a bridge to a
@@ -325,8 +298,7 @@ func (gm *GlobalManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
 
 // beatMeta sends the periodic ShardBeat liveness heartbeat.
 func (gm *GlobalManager) beatMeta(p *sim.Proc) {
-	gm.shardSeq++
 	gm.toMeta.Submit(p, &evpath.Event{Type: msgShardBeat, Size: ctlMsgBytes,
-		Data: &ShardBeat{At: p.Now(), Seq: gm.shardSeq, Epoch: gm.epoch,
+		Data: &ShardBeat{Round: gm.nextShardRound(), At: p.Now(),
 			Shard: gm.shard, Spare: len(gm.spare), Inbox: gm.root}})
 }

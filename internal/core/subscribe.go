@@ -32,27 +32,23 @@ import (
 // serve (SubHub.Resume/Replay) is idempotent on top of that, so even a
 // round that executes twice across a failover cannot corrupt a cursor.
 //
-// Every message below carries Seq, Epoch, and SubID; the ctlmsg analyzer
-// requires all three, an entry in subMsgSeq, and a dispatch arm for each —
-// the same exhaustiveness discipline the container and shard round
-// families get.
+// Every message below embeds the Round header (Seq, Epoch) and carries
+// SubID. The Req/Resp pairs are ordinary container rounds, so the compiler
+// holds them to the ctlReq contract; the ctlmsg analyzer adds the one leg
+// types cannot express: SubNotice needs a dispatch arm, and each request a
+// managerLoop arm.
 
-// Subscriber round message types on the management overlay.
-const (
-	msgSubNotice = "ctl.sub_notice" // container -> manager: subscriber reconnected
-	msgSubResume = "ctl.sub_resume" // manager -> container: revive the cursor
-	msgSubReplay = "ctl.sub_replay" // manager -> container: restage the tail window
-)
+// msgSubNotice is the container -> manager reconnect notice's event type.
+const msgSubNotice = "ctl.sub_notice"
 
 // SubNotice announces a reconnecting (or late-joining) subscriber to the
 // host container's manager. Like GapNotice it is a pump message, not a
 // synchronous round: the manager dedupes notices per subscriber (keeping
 // the highest generation) and issues the SubResume round at its next tick.
-// Seq is the subscriber's reconnect generation, not a manager round
-// number.
+// Its header Seq is the subscriber's reconnect generation (the dedupe key
+// together with SubID), not a manager round number.
 type SubNotice struct {
-	Seq   int64 // reconnect generation (dedupe key together with SubID)
-	Epoch int64
+	Round
 	SubID string
 	From  string // host container name
 }
@@ -60,10 +56,11 @@ type SubNotice struct {
 // SubResumeReq asks the container hosting the subscriber hub to revive a
 // crashed subscriber at its durable cursor.
 type SubResumeReq struct {
-	Seq   int64
-	Epoch int64
+	Round
 	SubID string
 }
+
+func (*SubResumeReq) ctlType() string { return "ctl.sub_resume" }
 
 // SubResumeResp reports the revived subscriber's position. FromSpill means
 // catch-up starts in the spill store (the subscriber pays disk reads);
@@ -71,8 +68,7 @@ type SubResumeReq struct {
 // SubReplay round should restage it. Ok is false for an unknown
 // subscriber.
 type SubResumeResp struct {
-	Seq        int64
-	Epoch      int64
+	Round
 	SubID      string
 	Cursor     int64
 	Lag        int64
@@ -84,39 +80,19 @@ type SubResumeResp struct {
 // SubReplayReq asks the container to restage the tail window past the
 // given cursor for a resumed subscriber.
 type SubReplayReq struct {
-	Seq    int64
-	Epoch  int64
+	Round
 	SubID  string
 	Cursor int64
 }
 
+func (*SubReplayReq) ctlType() string { return "ctl.sub_replay" }
+
 // SubReplayResp reports how many descriptors are staged after the replay.
 type SubReplayResp struct {
-	Seq    int64
-	Epoch  int64
+	Round
 	SubID  string
 	Staged int64
 	Ok     bool
-}
-
-// subMsgSeq extracts the sequence number from a subscriber round message
-// (ok=false for everything else). The manager stamps it on its trace
-// instants; the ctlmsg analyzer uses the switch as the message-family
-// registry.
-func subMsgSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *SubNotice:
-		return r.Seq, true
-	case *SubResumeReq:
-		return r.Seq, true
-	case *SubResumeResp:
-		return r.Seq, true
-	case *SubReplayReq:
-		return r.Seq, true
-	case *SubReplayResp:
-		return r.Seq, true
-	}
-	return 0, false
 }
 
 // serveSubResume is the container-side leg of a SubResume round (nil-safe:
@@ -145,8 +121,8 @@ func (c *Container) noteSubReconnect(p *sim.Proc, subID string, gen int64) {
 		return
 	}
 	c.toGM.Submit(p, &evpath.Event{Type: msgSubNotice, Size: ctlMsgBytes,
-		Data: &SubNotice{Seq: gen, Epoch: c.fencedEpoch, SubID: subID,
-			From: c.spec.Name}})
+		Data: &SubNotice{Round: Round{Seq: gen, Epoch: c.fencedEpoch},
+			SubID: subID, From: c.spec.Name}})
 }
 
 // SubResume runs the epoch-fenced resume round for one reconnecting
@@ -154,7 +130,7 @@ func (c *Container) noteSubReconnect(p *sim.Proc, subID string, gen int64) {
 // catch-up must come from.
 func (gm *GlobalManager) SubResume(p *sim.Proc, target, subID string) *SubResumeResp {
 	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &SubResumeReq{Seq: seq, SubID: subID} },
+		func() ctlReq { return &SubResumeReq{SubID: subID} },
 		func(d any) bool { r, ok := d.(*SubResumeResp); return ok && r.Seq == gm.seq },
 	).(*SubResumeResp)
 	if resp != nil && resp.Ok {
@@ -169,7 +145,7 @@ func (gm *GlobalManager) SubResume(p *sim.Proc, target, subID string) *SubResume
 // resumed subscriber whose lag never left memory.
 func (gm *GlobalManager) SubReplay(p *sim.Proc, target, subID string, cursor int64) *SubReplayResp {
 	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &SubReplayReq{Seq: seq, SubID: subID, Cursor: cursor} },
+		func() ctlReq { return &SubReplayReq{SubID: subID, Cursor: cursor} },
 		func(d any) bool { r, ok := d.(*SubReplayResp); return ok && r.Seq == gm.seq },
 	).(*SubReplayResp)
 	if resp != nil && resp.Ok {
