@@ -93,11 +93,7 @@ func (gm *GlobalManager) standbyLoop(p *sim.Proc) {
 // owners).
 func (gm *GlobalManager) takeOver(p *sim.Proc) {
 	rt := gm.rt
-	if gm.shard >= 0 {
-		rt.shardPrimary[gm.shard] = gm
-	} else {
-		rt.gm = gm
-	}
+	rt.mgrs.acting[plane(gm.shard)] = gm
 	gm.standbyMode = false
 	if rt.fencingOn() {
 		// Fence above everything this standby has seen: its own epoch and
@@ -135,19 +131,18 @@ func (gm *GlobalManager) takeOver(p *sim.Proc) {
 			gm.markSuspect(p, name)
 		}
 	}
-	if gm.shard >= 0 {
-		gm.spare = rt.unownedShardNodes(gm.shard)
-	} else {
-		gm.spare = rt.unownedStagingNodes()
-	}
+	gm.spare = rt.unownedNodes(gm.shard)
 	gm.record(p, Action{T: p.Now(), Kind: "failover", Target: "global-manager",
 		N: len(gm.spare), Detail: "standby took over"})
 }
 
-// unownedStagingNodes recomputes the spare pool as the staging nodes not
-// owned by any container — the authoritative inventory a recovering
-// manager rebuilds from.
-func (rt *Runtime) unownedStagingNodes() []*cluster.Node {
+// unownedNodes recomputes a plane's spare pool — the authoritative
+// inventory a recovering manager rebuilds from: the container region's
+// live nodes not owned by any container and, on sharded runs, assigned to
+// the shard by the directory (a nil directory means every node). Cross-
+// shard steals rehome nodes in the directory at release time, so a
+// promoted standby never adopts a node another shard now holds.
+func (rt *Runtime) unownedNodes(shard int) []*cluster.Node {
 	owned := map[int]bool{}
 	for _, c := range rt.containers {
 		for _, n := range c.nodes {
@@ -155,29 +150,8 @@ func (rt *Runtime) unownedStagingNodes() []*cluster.Node {
 		}
 	}
 	var out []*cluster.Node
-	for _, n := range rt.stagingNodes {
-		if !owned[n.ID] && n.Up() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// unownedShardNodes recomputes one shard's spare pool: the staging nodes
-// the directory assigns to that shard, minus nodes owned by a container,
-// minus the dead. Cross-shard steals rehome nodes in the directory at
-// release time, so a promoted standby never adopts a node another shard
-// now holds.
-func (rt *Runtime) unownedShardNodes(shard int) []*cluster.Node {
-	owned := map[int]bool{}
-	for _, c := range rt.containers {
-		for _, n := range c.nodes {
-			owned[n.ID] = true
-		}
-	}
-	var out []*cluster.Node
-	for _, n := range rt.stagingNodes {
-		if rt.dir.NodeShard(n.ID) == shard && !owned[n.ID] && n.Up() {
+	for _, n := range rt.region {
+		if (rt.dir == nil || rt.dir.NodeShard(n.ID) == shard) && !owned[n.ID] && n.Up() {
 			out = append(out, n)
 		}
 	}

@@ -113,6 +113,30 @@ func TestHealedPrimaryDemotesToStandby(t *testing.T) {
 	}
 }
 
+// A crash of the deposed primary's node after the takeover kills that
+// manager too: the crash handler marks every manager on the node dead,
+// acting or not, on legacy runs as on sharded ones.
+func TestCrashAfterTakeoverKillsDeposedPrimary(t *testing.T) {
+	cfg := partitionGMConfig(1)
+	cfg.Faults.Crashes = []fault.Crash{{Node: cfg.SimNodes, At: 250 * sim.Second}}
+	rt, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.GM() == rt.Primary() {
+		t.Fatal("standby never took over")
+	}
+	if !rt.Primary().Dead() {
+		t.Fatal("primary survived the crash of its node")
+	}
+	if rt.GM().Dead() {
+		t.Fatal("acting manager on another node marked dead")
+	}
+}
+
 func TestDeposedPrimaryNeverTakesBackOver(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := partitionGMConfig(seed)

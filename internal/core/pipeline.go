@@ -174,25 +174,21 @@ type Runtime struct {
 	launcher *cluster.Launcher
 	io       *adios.IO
 
-	containers   []*Container
-	byName       map[string]*Container
-	channels     []*datatap.Channel
-	ckptChannel  *datatap.Channel
-	gm           *GlobalManager
-	standby      *GlobalManager
-	stagingNodes []*cluster.Node
-	rec          *metrics.Recorder
+	containers  []*Container
+	byName      map[string]*Container
+	channels    []*datatap.Channel
+	ckptChannel *datatap.Channel
+	// region is the staging partition's container region in placement
+	// order: every staging node on legacy runs, the nodes behind the
+	// control plane on sharded ones.
+	region []*cluster.Node
+	rec    *metrics.Recorder
 
-	// Sharded control plane (all nil/empty on legacy runs; rt.gm is nil
-	// when sharded). shardPrimary tracks the acting manager per shard
-	// (reassigned on standby promotion); shardMgrs lists every manager in
-	// creation order (primaries, then standbys) for shutdown and oracles;
-	// dir is the container/node ownership ledger.
-	meta         *MetaManager
-	shardPrimary []*GlobalManager
-	shardStandby []*GlobalManager
-	shardMgrs    []*GlobalManager
-	dir          *shardmgr.Directory
+	// The control plane: the manager table, plus the meta-manager and the
+	// container/node ownership ledger (both nil on legacy runs).
+	mgrs managerTable
+	meta *MetaManager
+	dir  *shardmgr.Directory
 
 	// Subscriber fan-out (nil without Config.Subscribers): the hub on the
 	// fanned-out stage channel and the container serving its control
@@ -217,9 +213,6 @@ type Runtime struct {
 	// a runtime-wide counter keeps a standby's rounds distinct from the
 	// primary's in the containers' deduplication caches.
 	ctlSeq int64
-	// primary remembers the manager that started the run as primary
-	// (rt.gm is reassigned on failover).
-	primary *GlobalManager
 	// rounds / trades / crashVictims are runtime-wide logs consumed by the
 	// chaos oracles (see internal/chaos): every control-round send attempt,
 	// every D2T trade outcome, and every replica lost to a node crash.
@@ -228,7 +221,88 @@ type Runtime struct {
 	crashVictims []CrashVictim
 }
 
-// Build assembles (but does not run) a pipeline runtime.
+// managerTable tracks every global-manager instance of a run. The rows
+// are control planes: a legacy run is one plane (row 0, shard -1), a
+// sharded run has one plane per shard. acting holds each plane's manager
+// issuing rounds (reassigned on takeover) and standby its standby (nil
+// when none); all lists every manager in creation order — the primaries,
+// then the standbys — so all[p] is plane p's original primary.
+type managerTable struct {
+	acting  []*GlobalManager
+	standby []*GlobalManager
+	all     []*GlobalManager
+}
+
+// plane maps a shard ID to its manager-table row: the legacy single
+// manager's shard -1 is row 0.
+func plane(shard int) int { return max(shard, 0) }
+
+// controlLayout is where the control plane sits on the staging
+// partition, and what it leaves for containers.
+type controlLayout struct {
+	meta      *cluster.Node   // nil on legacy runs
+	primaries []*cluster.Node // one per plane
+	standbys  []*cluster.Node // one per plane, or none
+	region    []*cluster.Node // container nodes, in placement order
+}
+
+// layoutControl chooses the control-plane nodes. A legacy run is one
+// plane co-located with the containers: the global manager on the first
+// container node, the standby (Config.StandbyGM) on the second. A sharded
+// run reserves the leading staging nodes — the meta-manager, then one
+// primary per shard, then the standbys (shard-major) — and places the
+// containers behind them. Containers fill the region front-to-back
+// (contiguous blocks keep a container's replicas topologically close) or
+// interleaved when SpreadPlacement is set.
+func layoutControl(cfg Config, staging []*cluster.Node) (controlLayout, error) {
+	var l controlLayout
+	ctl := 0
+	if cfg.Shards > 1 {
+		S, k := cfg.Shards, cfg.ShardStandbys
+		if k < 0 || k > 1 {
+			return l, fmt.Errorf("core: ShardStandbys must be 0 or 1, got %d", k)
+		}
+		if cfg.StandbyGM {
+			return l, fmt.Errorf("core: StandbyGM is the legacy failover knob; use ShardStandbys with Shards > 1")
+		}
+		if cfg.Policy.KillGMAt > 0 {
+			return l, fmt.Errorf("core: Policy.KillGMAt targets the legacy single manager; crash shard managers via a fault schedule")
+		}
+		ctl = 1 + S*(1+k)
+		if ctl >= len(staging) {
+			return l, fmt.Errorf("core: %d control-plane nodes (meta + %d shards ×%d) leave no staging nodes for containers (%d total)",
+				ctl, S, 1+k, len(staging))
+		}
+		l.meta = staging[0]
+		l.primaries = staging[1 : 1+S]
+		l.standbys = staging[1+S : ctl]
+	}
+	l.region = staging[ctl:]
+	if cfg.SpreadPlacement {
+		l.region = interleave(l.region, len(cfg.Specs))
+	}
+	if cfg.Shards <= 1 {
+		l.primaries = l.region[:1]
+		if cfg.StandbyGM {
+			sb := l.region[0]
+			if len(l.region) > 1 {
+				sb = l.region[1]
+			}
+			l.standbys = []*cluster.Node{sb}
+		}
+	}
+	return l, nil
+}
+
+// Build assembles (but does not run) a pipeline runtime. Both control
+// planes go through the same sequence: lay out the control plane, place
+// the containers and split the leftover nodes into per-plane spare
+// pools, create the managers, then wire channels, containers, the
+// checkpoint path, gap routes and subscribers, and spawn the processes.
+// On sharded runs containers map to shards by the seeded consistent-hash
+// ring; each shard manager runs the full round machinery over its scope,
+// while the meta-manager does only slow-path work — shard liveness,
+// cross-shard steal brokering, standby promotion (see shard.go / meta.go).
 func Build(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{cfg: cfg, byName: map[string]*Container{}, rec: metrics.NewRecorder()}
@@ -274,20 +348,11 @@ func Build(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Assign container nodes front-to-back (contiguous blocks keep a
-	// container's replicas topologically close) or interleaved when
-	// SpreadPlacement is set; leftovers are spare.
-	stagingNodes := staging.Nodes()
-	if cfg.Shards > 1 {
-		if err := rt.buildSharded(cfg, stagingNodes); err != nil {
-			return nil, err
-		}
-		return rt, nil
+	l, err := layoutControl(cfg, staging.Nodes())
+	if err != nil {
+		return nil, err
 	}
-	if cfg.SpreadPlacement {
-		stagingNodes = interleave(stagingNodes, len(cfg.Specs))
-	}
+	rt.region = l.region
 	next := 0
 	nodesFor := map[string][]*cluster.Node{}
 	for _, spec := range cfg.Specs {
@@ -295,31 +360,38 @@ func Build(cfg Config) (*Runtime, error) {
 		if n <= 0 {
 			n = 1
 		}
-		if next+n > len(stagingNodes) {
-			return nil, fmt.Errorf("core: container sizes exceed %d staging nodes", len(stagingNodes))
+		if next+n > len(l.region) {
+			return nil, fmt.Errorf("core: container sizes exceed %d staging nodes", len(l.region))
 		}
-		nodesFor[spec.Name] = stagingNodes[next : next+n]
+		nodesFor[spec.Name] = l.region[next : next+n]
 		next += n
 	}
-	spare := stagingNodes[next:]
-	rt.stagingNodes = stagingNodes
-
-	// The global manager runs on the first staging node. It starts the
-	// run as epoch 1; a standby takeover bumps the epoch (see fence.go).
-	rt.gm = newGlobalManager(rt, stagingNodes[0].ID, cfg.Policy, spare)
-	rt.gm.epoch = 1
-	rt.primary = rt.gm
-	if cfg.StandbyGM {
-		standbyPolicy := cfg.Policy
-		standbyPolicy.KillGMAt = 0 // the standby does not inherit the death sentence
-		standbyNode := stagingNodes[0].ID
-		if len(stagingNodes) > 1 {
-			standbyNode = stagingNodes[1].ID
+	// Leftover nodes are spare: the single manager's pool, or split
+	// round-robin into per-shard pools recorded in the ownership ledger
+	// alongside every container's nodes.
+	pools := [][]*cluster.Node{l.region[next:]}
+	var ring *shardmgr.Ring
+	if cfg.Shards > 1 {
+		ring = shardmgr.NewRing(cfg.ShardSeed, cfg.Shards)
+		names := make([]string, 0, len(cfg.Specs))
+		for _, spec := range cfg.Specs {
+			names = append(names, spec.Name)
 		}
-		rt.standby = newGlobalManager(rt, standbyNode, standbyPolicy, nil)
-		rt.standby.peerEpoch = 1 // the primary's starting epoch
-		rt.gm.toStandby = rt.gm.ev.NewBridge(rt.standby.inbox(), 0)
+		rt.dir = shardmgr.NewDirectory(ring, names)
+		for _, spec := range cfg.Specs {
+			s := rt.dir.ShardOf(spec.Name)
+			for _, n := range nodesFor[spec.Name] {
+				rt.dir.SetNodeShard(n.ID, s)
+			}
+		}
+		pools = cluster.SplitPool(l.region[next:], cfg.Shards)
+		for s, pool := range pools {
+			for _, n := range pool {
+				rt.dir.SetNodeShard(n.ID, s)
+			}
+		}
 	}
+	rt.buildManagers(cfg, l, pools)
 
 	// Channels: producer→stage0, then stage i→stage i+1. The last two
 	// stages (CSym, CNA) share the branch channel when the pipeline has
@@ -360,22 +432,34 @@ func Build(cfg Config) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
+		if rt.dir != nil {
+			c.shard = rt.dir.ShardOf(spec.Name)
+		}
 		rt.containers = append(rt.containers, c)
 		rt.byName[spec.Name] = c
 	}
 	// Optional checkpoint path: a dedicated aggregation container with a
-	// relaxed SLA drains the simulation's checkpoint stream to disk.
+	// relaxed SLA drains the simulation's checkpoint stream to disk. Its
+	// nodes come out of its plane's spare pool (on sharded runs, the shard
+	// the ring assigns it).
 	if cfg.CheckpointEvery > 0 {
-		nCkpt := cfg.CheckpointNodes
-		if nCkpt <= 0 {
-			nCkpt = 1
+		nCkpt := max(cfg.CheckpointNodes, 1)
+		shard := -1
+		if ring != nil {
+			shard = ring.Assign("checkpoint")
+			rt.dir.SetShardOf("checkpoint", shard)
 		}
-		if nCkpt > len(rt.gm.spare) {
+		owner := rt.mgrs.acting[plane(shard)]
+		if nCkpt > len(owner.spare) {
+			if shard >= 0 {
+				return nil, fmt.Errorf("core: checkpoint container needs %d nodes, shard %d has %d spare",
+					nCkpt, shard, len(owner.spare))
+			}
 			return nil, fmt.Errorf("core: checkpoint container needs %d nodes, %d spare",
-				nCkpt, len(rt.gm.spare))
+				nCkpt, len(owner.spare))
 		}
-		ckptNodes := rt.gm.spare[:nCkpt]
-		rt.gm.spare = rt.gm.spare[nCkpt:]
+		ckptNodes := owner.spare[:nCkpt]
+		owner.spare = owner.spare[nCkpt:]
 		models := smartpointer.DefaultCostModels()
 		spec := ComponentSpec{
 			Name:       "checkpoint",
@@ -397,15 +481,37 @@ func Build(cfg Config) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.shard = shard
 		rt.containers = append(rt.containers, c)
 		rt.byName[spec.Name] = c
 		rt.channels = append(rt.channels, rt.ckptChannel)
+	}
+	// Each shard manager's scope: its shard's containers, in stage order.
+	// Standbys share the slice — it is read-only after build. The legacy
+	// manager has no scope: it manages every container, including ones
+	// launched mid-run.
+	if rt.dir != nil {
+		for s, gm := range rt.mgrs.acting {
+			var scope []*Container
+			for _, c := range rt.containers {
+				if c.shard == s {
+					scope = append(scope, c)
+				}
+			}
+			gm.scope = scope
+			if sb := rt.mgrs.standby[s]; sb != nil {
+				sb.scope = scope
+			}
+		}
 	}
 	// At-least-once wiring: each consumer container reports input-sequence
 	// gaps upward, and the managers learn which upstream container to aim
 	// the answering ResendReq at. Channel 0 has no upstream *container*
 	// (the producer writes it directly), so no route is registered for its
-	// consumer — the channel-local repair loop is the recovery there.
+	// consumer — the channel-local repair loop is the recovery there. Gap
+	// routes live on the READER's plane: the GapNotice lands there, and if
+	// the upstream belongs to another shard the manager relays it through
+	// the meta (see relayGap / routeGap).
 	for _, c := range rt.containers {
 		if c.input == nil {
 			continue
@@ -413,17 +519,19 @@ func Build(cfg Config) (*Runtime, error) {
 		c := c
 		c.input.SetGapHandler(func(p *sim.Proc, missing int64) { c.noteGap(p, missing) })
 		if up := rt.upstreamOf(c); up != nil {
-			rt.gm.resendRoute[c.Name()] = up.Name()
-			if rt.standby != nil {
-				rt.standby.resendRoute[c.Name()] = up.Name()
+			p := plane(c.shard)
+			rt.mgrs.acting[p].resendRoute[c.Name()] = up.Name()
+			if sb := rt.mgrs.standby[p]; sb != nil {
+				sb.resendRoute[c.Name()] = up.Name()
 			}
 		}
 	}
 	for _, c := range rt.containers {
 		c.start()
-		rt.gm.connect(c)
-		if rt.standby != nil {
-			rt.standby.connect(c)
+		p := plane(c.shard)
+		rt.mgrs.acting[p].connect(c)
+		if sb := rt.mgrs.standby[p]; sb != nil {
+			sb.connect(c)
 		}
 		if rt.faults != nil && !cfg.Policy.DisableSelfHealing {
 			c := c
@@ -433,238 +541,63 @@ func Build(cfg Config) (*Runtime, error) {
 	if err := rt.buildSubscribers(cfg); err != nil {
 		return nil, err
 	}
-	rt.eng.Go("global-manager", rt.gm.run)
-	if rt.standby != nil {
-		rt.eng.Go("standby-manager", rt.standby.standbyLoop)
+	if rt.meta != nil {
+		rt.eng.Go("meta-manager", rt.meta.run)
+	}
+	for p, gm := range rt.mgrs.acting {
+		name, sbName := "global-manager", "standby-manager"
+		if rt.dir != nil {
+			name, sbName = fmt.Sprintf("shard-%d-manager", p), fmt.Sprintf("shard-%d-standby", p)
+		}
+		rt.eng.Go(name, gm.run)
+		if sb := rt.mgrs.standby[p]; sb != nil {
+			rt.eng.Go(sbName, sb.standbyLoop)
+		}
 	}
 	rt.eng.Go("lammps-producer", rt.producer)
 	return rt, nil
 }
 
-// buildSharded assembles the sharded hierarchical control plane: staging
-// node 0 hosts the meta-manager, nodes 1..S the shard primaries, the next
-// S·k the shard standbys (shard-major), and the rest the container
-// region. Containers map to shards by the seeded consistent-hash ring;
-// each shard manager runs the full round machinery over its scope, while
-// the meta-manager does only slow-path work — shard liveness, cross-shard
-// steal brokering, standby promotion (see shard.go / meta.go).
-func (rt *Runtime) buildSharded(cfg Config, stagingNodes []*cluster.Node) error {
-	S := cfg.Shards
-	k := cfg.ShardStandbys
-	if k < 0 || k > 1 {
-		return fmt.Errorf("core: ShardStandbys must be 0 or 1, got %d", k)
+// buildManagers creates the control plane laid out by l: the
+// meta-manager (sharded runs), one primary per plane seeded with that
+// plane's spare pool and starting as epoch 1 (a takeover bumps the
+// epoch; see fence.go), and the standbys, each fed its primary's
+// heartbeats. On sharded runs every manager — standbys included, since a
+// promoted standby inherits the beat/steal duties — also gets an upward
+// bridge to the meta.
+func (rt *Runtime) buildManagers(cfg Config, l controlLayout, pools [][]*cluster.Node) {
+	if l.meta != nil {
+		rt.meta = newMetaManager(rt, l.meta.ID, len(l.primaries), cfg.Policy.Interval)
 	}
-	if cfg.StandbyGM {
-		return fmt.Errorf("core: StandbyGM is the legacy failover knob; use ShardStandbys with Shards > 1")
-	}
-	if cfg.Policy.KillGMAt > 0 {
-		return fmt.Errorf("core: Policy.KillGMAt targets the legacy single manager; crash shard managers via a fault schedule")
-	}
-	mgrCount := 1 + S*(1+k)
-	if mgrCount >= len(stagingNodes) {
-		return fmt.Errorf("core: %d control-plane nodes (meta + %d shards ×%d) leave no staging nodes for containers (%d total)",
-			mgrCount, S, 1+k, len(stagingNodes))
-	}
-	rt.stagingNodes = stagingNodes
-	region := stagingNodes[mgrCount:]
-	if cfg.SpreadPlacement {
-		region = interleave(region, len(cfg.Specs))
-	}
-	next := 0
-	nodesFor := map[string][]*cluster.Node{}
-	for _, spec := range cfg.Specs {
-		n := cfg.Sizes[spec.Name]
-		if n <= 0 {
-			n = 1
+	for p, n := range l.primaries {
+		gm := newGlobalManager(rt, n.ID, cfg.Policy, pools[p])
+		if rt.dir != nil {
+			gm.shard = p
 		}
-		if next+n > len(region) {
-			return fmt.Errorf("core: container sizes exceed %d staging nodes", len(region))
-		}
-		nodesFor[spec.Name] = region[next : next+n]
-		next += n
-	}
-	leftover := region[next:]
-
-	// Ring + directory: container→shard by seeded consistent hash, spare
-	// nodes round-robin into per-shard pools.
-	ring := shardmgr.NewRing(cfg.ShardSeed, S)
-	names := make([]string, 0, len(cfg.Specs))
-	for _, spec := range cfg.Specs {
-		names = append(names, spec.Name)
-	}
-	rt.dir = shardmgr.NewDirectory(ring, names)
-	for _, spec := range cfg.Specs {
-		s := rt.dir.ShardOf(spec.Name)
-		for _, n := range nodesFor[spec.Name] {
-			rt.dir.SetNodeShard(n.ID, s)
-		}
-	}
-	pools := cluster.SplitPool(leftover, S)
-	for s, pool := range pools {
-		for _, n := range pool {
-			rt.dir.SetNodeShard(n.ID, s)
-		}
-	}
-
-	rt.meta = newMetaManager(rt, stagingNodes[0].ID, S, cfg.Policy.Interval)
-	rt.shardPrimary = make([]*GlobalManager, S)
-	rt.shardStandby = make([]*GlobalManager, S)
-	for s := 0; s < S; s++ {
-		gm := newGlobalManager(rt, stagingNodes[1+s].ID, cfg.Policy, pools[s])
-		gm.shard = s
 		gm.epoch = 1
-		rt.shardPrimary[s] = gm
-		rt.shardMgrs = append(rt.shardMgrs, gm)
+		rt.mgrs.acting = append(rt.mgrs.acting, gm)
+		rt.mgrs.all = append(rt.mgrs.all, gm)
 	}
-	for s := 0; s < S && k > 0; s++ {
-		sb := newGlobalManager(rt, stagingNodes[1+S+s].ID, cfg.Policy, nil)
-		sb.shard = s
-		sb.peerEpoch = 1 // the shard primary's starting epoch
-		rt.shardStandby[s] = sb
-		rt.shardMgrs = append(rt.shardMgrs, sb)
-		primary := rt.shardPrimary[s]
+	rt.mgrs.standby = make([]*GlobalManager, len(l.primaries))
+	standbyPolicy := cfg.Policy
+	standbyPolicy.KillGMAt = 0 // the standby does not inherit the death sentence
+	for p, n := range l.standbys {
+		primary := rt.mgrs.acting[p]
+		sb := newGlobalManager(rt, n.ID, standbyPolicy, nil)
+		sb.shard = primary.shard
+		sb.peerEpoch = 1 // the primary's starting epoch
+		rt.mgrs.standby[p] = sb
+		rt.mgrs.all = append(rt.mgrs.all, sb)
 		primary.toStandby = primary.ev.NewBridge(sb.inbox(), 0)
-		rt.meta.standbyInbox[s] = sb.inbox()
-	}
-	// Every shard manager — standbys included, since a promoted standby
-	// inherits the beat/steal duties — gets an upward bridge to the meta.
-	for _, gm := range rt.shardMgrs {
-		gm.toMeta = gm.ev.NewBridge(rt.meta.inbox(), 0)
-	}
-
-	// Channels and containers: same wiring as the legacy build, plus the
-	// shard assignment on each container.
-	branched := len(cfg.Specs) == 4 && cfg.Specs[3].ActivateOnCrack
-	nChannels := len(cfg.Specs)
-	if branched {
-		nChannels = 3
-	}
-	rt.channels = make([]*datatap.Channel, nChannels)
-	for i := range rt.channels {
-		consumer := cfg.Specs[i].Name
-		home := nodesFor[consumer][0].ID
-		rt.channels[i] = datatap.NewChannel(rt.eng, rt.mach,
-			fmt.Sprintf("ch.%d.%s", i, consumer),
-			datatap.Config{QueueCap: cfg.QueueCap, WriterBufBytes: cfg.WriterBufBytes,
-				HomeNode: home, Delivery: cfg.Delivery})
-		rt.channels[i].SetTracer(rt.tracer)
-	}
-	for i, spec := range cfg.Specs {
-		var input, output *datatap.Channel
-		var downstream string
-		switch {
-		case branched && i >= 2:
-			input = rt.channels[2]
-		case branched && i == 1:
-			input, output = rt.channels[1], rt.channels[2]
-			downstream = cfg.Specs[2].Name
-		default:
-			input = rt.channels[i]
-			if i+1 < len(rt.channels) {
-				output = rt.channels[i+1]
-				downstream = cfg.Specs[i+1].Name
-			}
-		}
-		c, err := rt.newContainer(spec, nodesFor[spec.Name], input, output, downstream)
-		if err != nil {
-			return err
-		}
-		c.shard = rt.dir.ShardOf(spec.Name)
-		rt.containers = append(rt.containers, c)
-		rt.byName[spec.Name] = c
-	}
-	if cfg.CheckpointEvery > 0 {
-		nCkpt := cfg.CheckpointNodes
-		if nCkpt <= 0 {
-			nCkpt = 1
-		}
-		cs := ring.Assign("checkpoint")
-		rt.dir.SetShardOf("checkpoint", cs)
-		owner := rt.shardPrimary[cs]
-		if nCkpt > len(owner.spare) {
-			return fmt.Errorf("core: checkpoint container needs %d nodes, shard %d has %d spare",
-				nCkpt, cs, len(owner.spare))
-		}
-		ckptNodes := owner.spare[:nCkpt]
-		owner.spare = owner.spare[nCkpt:]
-		models := smartpointer.DefaultCostModels()
-		spec := ComponentSpec{
-			Name:       "checkpoint",
-			Kind:       smartpointer.KindHelper,
-			Model:      smartpointer.ModelTree,
-			Cost:       models[smartpointer.KindHelper],
-			Essential:  true,
-			DiskOutput: true,
-			SLAPeriods: cfg.CheckpointEvery,
-		}
-		rt.ckptChannel = datatap.NewChannel(rt.eng, rt.mach, "ch.ckpt",
-			datatap.Config{QueueCap: cfg.QueueCap, WriterBufBytes: cfg.WriterBufBytes,
-				HomeNode: ckptNodes[0].ID})
-		rt.ckptChannel.SetTracer(rt.tracer)
-		c, err := rt.newContainer(spec, ckptNodes, rt.ckptChannel, nil, "")
-		if err != nil {
-			return err
-		}
-		c.shard = cs
-		rt.containers = append(rt.containers, c)
-		rt.byName[spec.Name] = c
-		rt.channels = append(rt.channels, rt.ckptChannel)
-	}
-
-	// Each shard manager's scope: its shard's containers, in stage order.
-	// Standbys share the slice — it is read-only after build.
-	for s := 0; s < S; s++ {
-		var scope []*Container
-		for _, c := range rt.containers {
-			if c.shard == s {
-				scope = append(scope, c)
-			}
-		}
-		rt.shardPrimary[s].scope = scope
-		if sb := rt.shardStandby[s]; sb != nil {
-			sb.scope = scope
+		if rt.meta != nil {
+			rt.meta.standbyInbox[p] = sb.inbox()
 		}
 	}
-
-	// Gap routes live on the READER's shard manager: the GapNotice lands
-	// there, and if the upstream belongs to another shard the manager
-	// relays it through the meta (see relayGap / routeGap).
-	for _, c := range rt.containers {
-		if c.input == nil {
-			continue
-		}
-		c := c
-		c.input.SetGapHandler(func(p *sim.Proc, missing int64) { c.noteGap(p, missing) })
-		if up := rt.upstreamOf(c); up != nil {
-			rt.shardPrimary[c.shard].resendRoute[c.Name()] = up.Name()
-			if sb := rt.shardStandby[c.shard]; sb != nil {
-				sb.resendRoute[c.Name()] = up.Name()
-			}
+	if rt.meta != nil {
+		for _, gm := range rt.mgrs.all {
+			gm.toMeta = gm.ev.NewBridge(rt.meta.inbox(), 0)
 		}
 	}
-	for _, c := range rt.containers {
-		c.start()
-		rt.shardPrimary[c.shard].connect(c)
-		if sb := rt.shardStandby[c.shard]; sb != nil {
-			sb.connect(c)
-		}
-		if rt.faults != nil && !cfg.Policy.DisableSelfHealing {
-			c := c
-			rt.eng.Go(c.spec.Name+"-watch", c.replicaWatchLoop)
-		}
-	}
-	if err := rt.buildSubscribers(cfg); err != nil {
-		return err
-	}
-	rt.eng.Go("meta-manager", rt.meta.run)
-	for s := 0; s < S; s++ {
-		rt.eng.Go(fmt.Sprintf("shard-%d-manager", s), rt.shardPrimary[s].run)
-		if sb := rt.shardStandby[s]; sb != nil {
-			rt.eng.Go(fmt.Sprintf("shard-%d-standby", s), sb.standbyLoop)
-		}
-	}
-	rt.eng.Go("lammps-producer", rt.producer)
-	return nil
 }
 
 // producer drives the simulated LAMMPS run into the first channel.
@@ -729,25 +662,10 @@ func (rt *Runtime) shutdown() {
 			c.staleGM.CloseBridge()
 		}
 	}
-	// After a takeover rt.gm aliases rt.standby, and the original
-	// primary — possibly still alive and ticking — is only reachable via
-	// rt.primary; close every distinct manager or its loop outlives the
-	// shutdown and the post-horizon drain never finishes.
-	closed := map[*GlobalManager]bool{}
-	for _, gm := range []*GlobalManager{rt.primary, rt.gm, rt.standby} {
-		if gm == nil || closed[gm] {
-			continue
-		}
-		closed[gm] = true
-		gm.closeBridges()
-		gm.ctl.Close()
-		gm.rsp.Close()
-	}
-	for _, gm := range rt.shardMgrs {
-		if closed[gm] {
-			continue
-		}
-		closed[gm] = true
+	// Every manager, acting or not: a deposed primary may still be alive
+	// and ticking, and its loop would outlive the shutdown so the
+	// post-horizon drain never finishes.
+	for _, gm := range rt.mgrs.all {
 		gm.closeBridges()
 		gm.ctl.Close()
 		gm.rsp.Close()
@@ -783,14 +701,13 @@ func (rt *Runtime) Shutdown() {
 // TakeSpare removes up to n nodes from the global manager's spare pool
 // (for experiments that drive resize protocols directly).
 func (rt *Runtime) TakeSpare(n int) []*cluster.Node {
-	if rt.gm == nil {
+	gm := rt.GM()
+	if gm == nil {
 		return nil
 	}
-	if n > len(rt.gm.spare) {
-		n = len(rt.gm.spare)
-	}
-	nodes := rt.gm.spare[:n]
-	rt.gm.spare = rt.gm.spare[n:]
+	n = min(n, len(gm.spare))
+	nodes := gm.spare[:n]
+	gm.spare = gm.spare[n:]
 	return nodes
 }
 
@@ -835,13 +752,7 @@ func (rt *Runtime) onNodeCrash(id int) {
 			c.mailbox.Close()
 		}
 	}
-	if rt.gm != nil && rt.gm.node == id {
-		rt.gm.dead = true
-	}
-	if rt.standby != nil && rt.standby.node == id {
-		rt.standby.dead = true
-	}
-	for _, gm := range rt.shardMgrs {
+	for _, gm := range rt.mgrs.all {
 		if gm.node == id {
 			gm.dead = true
 		}
@@ -1089,9 +1000,10 @@ func (rt *Runtime) result() *Result {
 	}
 	res.StepTrace = rt.stepTrace
 	if rt.dir == nil {
-		res.Actions = rt.gm.Actions()
-		res.Spare = rt.gm.Spare()
-		res.Suspects = rt.gm.Suspects()
+		gm := rt.mgrs.acting[0]
+		res.Actions = gm.Actions()
+		res.Spare = gm.Spare()
+		res.Suspects = gm.Suspects()
 	} else {
 		rt.shardResult(res)
 	}
@@ -1123,14 +1035,14 @@ func (rt *Runtime) result() *Result {
 // suspects aggregated — and attaches the per-shard table.
 func (rt *Runtime) shardResult(res *Result) {
 	var acts []Action
-	for _, gm := range rt.shardMgrs {
+	for _, gm := range rt.mgrs.all {
 		acts = append(acts, gm.Actions()...)
 	}
 	acts = append(acts, rt.meta.Actions()...)
 	sort.SliceStable(acts, func(i, j int) bool { return acts[i].T < acts[j].T })
 	res.Actions = acts
 	seen := map[string]bool{}
-	for _, gm := range rt.shardMgrs {
+	for _, gm := range rt.mgrs.all {
 		for _, name := range gm.Suspects() {
 			if !seen[name] {
 				seen[name] = true
@@ -1139,8 +1051,7 @@ func (rt *Runtime) shardResult(res *Result) {
 		}
 	}
 	sort.Strings(res.Suspects)
-	for s := 0; s < rt.cfg.Shards; s++ {
-		acting := rt.shardPrimary[s]
+	for s, acting := range rt.mgrs.acting {
 		in, out := rt.dir.Steals(s)
 		res.Spare += acting.Spare()
 		nc := 0
@@ -1168,7 +1079,12 @@ func (rt *Runtime) Containers() []*Container {
 
 // GM returns the currently active global manager (nil on sharded runs —
 // use ShardManager / Managers there).
-func (rt *Runtime) GM() *GlobalManager { return rt.gm }
+func (rt *Runtime) GM() *GlobalManager {
+	if rt.dir != nil {
+		return nil
+	}
+	return rt.mgrs.acting[0]
+}
 
 // Sharded reports whether the run uses the sharded control plane.
 func (rt *Runtime) Sharded() bool { return rt.dir != nil }
@@ -1181,42 +1097,39 @@ func (rt *Runtime) Directory() *shardmgr.Directory { return rt.dir }
 
 // ShardManager returns shard s's acting manager (the promoted standby
 // after a failover).
-func (rt *Runtime) ShardManager(s int) *GlobalManager { return rt.shardPrimary[s] }
+func (rt *Runtime) ShardManager(s int) *GlobalManager { return rt.mgrs.acting[s] }
 
-// Managers returns every global-manager instance: on legacy runs the
-// distinct primary/active/standby, on sharded runs every shard primary
-// and standby in creation order. The meta-manager is separate (Meta).
+// Managers returns every global-manager instance in creation order: on
+// legacy runs the primary, then the standby; on sharded runs every shard
+// primary, then every standby. The meta-manager is separate (Meta).
 func (rt *Runtime) Managers() []*GlobalManager {
-	if rt.dir != nil {
-		return append([]*GlobalManager(nil), rt.shardMgrs...)
-	}
-	var out []*GlobalManager
-	seen := map[*GlobalManager]bool{}
-	for _, gm := range []*GlobalManager{rt.primary, rt.gm, rt.standby} {
-		if gm == nil || seen[gm] {
-			continue
-		}
-		seen[gm] = true
-		out = append(out, gm)
-	}
-	return out
+	return append([]*GlobalManager(nil), rt.mgrs.all...)
 }
 
-// managerFor returns the manager responsible for c's control rounds at
-// build time (the shard primary on sharded runs, rt.gm otherwise).
+// managerFor returns the manager responsible for c's control rounds: its
+// plane's acting manager.
 func (rt *Runtime) managerFor(c *Container) *GlobalManager {
-	if c.shard >= 0 {
-		return rt.shardPrimary[c.shard]
-	}
-	return rt.gm
+	return rt.mgrs.acting[plane(c.shard)]
 }
 
 // Primary returns the manager that started the run as primary (it may be
-// dead or deposed by now — rt.GM() is the active one).
-func (rt *Runtime) Primary() *GlobalManager { return rt.primary }
+// dead or deposed by now — rt.GM() is the active one); nil on sharded
+// runs.
+func (rt *Runtime) Primary() *GlobalManager {
+	if rt.dir != nil {
+		return nil
+	}
+	return rt.mgrs.all[0]
+}
 
-// Standby returns the standby manager (nil unless Config.StandbyGM).
-func (rt *Runtime) Standby() *GlobalManager { return rt.standby }
+// Standby returns the standby manager (nil unless Config.StandbyGM; nil
+// on sharded runs).
+func (rt *Runtime) Standby() *GlobalManager {
+	if rt.dir != nil {
+		return nil
+	}
+	return rt.mgrs.standby[0]
+}
 
 // Channels returns the pipeline's data channels in stage order (the chaos
 // conservation oracle audits their byte ledgers).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -455,10 +456,64 @@ func TestTransactionalTradeRollback(t *testing.T) {
 	}
 }
 
-// Property: across random policy knobs and scales, staging nodes are
-// conserved — every node is in exactly one container or the spare pool.
+// controlNodes is the number of staging nodes the control plane keeps
+// for itself: none on legacy runs, where the managers share container
+// nodes; the meta plus every shard primary and standby when sharded.
+func controlNodes(cfg Config) int {
+	if cfg.Shards <= 1 {
+		return 0
+	}
+	return 1 + cfg.Shards*(1+cfg.ShardStandbys)
+}
+
+// assertConserved checks that every staging node outside the control
+// plane is in exactly one container or one acting manager's spare pool,
+// and that the run summary (res, when non-nil) accounts for all of them.
+func assertConserved(t *testing.T, rt *Runtime, res *Result) {
+	t.Helper()
+	cfg := rt.Config()
+	want := cfg.StagingNodes - controlNodes(cfg)
+	owner := map[int]string{}
+	claim := func(id int, by string) {
+		if prev, ok := owner[id]; ok {
+			t.Fatalf("node %d assigned twice: %s and %s", id, prev, by)
+		}
+		owner[id] = by
+	}
+	for _, c := range rt.containers {
+		for _, n := range c.Nodes() {
+			claim(n.ID, c.Name())
+		}
+	}
+	for p, gm := range rt.mgrs.acting {
+		for _, n := range gm.spare {
+			claim(n.ID, fmt.Sprintf("plane %d spare", p))
+		}
+	}
+	if len(owner) != want {
+		t.Fatalf("%d nodes owned, want %d", len(owner), want)
+	}
+	if res == nil {
+		return
+	}
+	total := res.Spare
+	for _, n := range res.FinalSizes {
+		total += n
+	}
+	if total != want {
+		t.Fatalf("%d nodes accounted, want %d (sizes %v spare %d)",
+			total, want, res.FinalSizes, res.Spare)
+	}
+}
+
+// Property: across random policy knobs and scales, on either control
+// plane, staging nodes are conserved — every node is in exactly one
+// container or the spare pool.
 func TestNodeConservationProperty(t *testing.T) {
 	cases := []Config{fig7Config(), fig8Config(), fig9Config()}
+	for _, tc := range planeConfigs(0, 6)[1:] {
+		cases = append(cases, tc.cfg)
+	}
 	for seed := int64(1); seed <= 4; seed++ {
 		for i, base := range cases {
 			cfg := base
@@ -467,24 +522,53 @@ func TestNodeConservationProperty(t *testing.T) {
 			if i == 2 {
 				cfg.Policy.OfflinePatience = 2 // force the offline path
 			}
-			res := runScenario(t, cfg)
-			total := res.Spare
-			for _, n := range res.FinalSizes {
-				total += n
-			}
-			if total != cfg.StagingNodes {
-				t.Fatalf("case %d seed %d: %d nodes accounted, want %d (sizes %v spare %d)",
-					i, seed, total, cfg.StagingNodes, res.FinalSizes, res.Spare)
-			}
+			t.Run(fmt.Sprintf("case%d/seed%d", i, seed), func(t *testing.T) {
+				rt, err := Build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := rt.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertConserved(t, rt, res)
+			})
 		}
 	}
 }
 
+// namedConfig is one input of a table-driven test.
+type namedConfig struct {
+	name string
+	cfg  Config
+}
+
+// planeConfigs returns the same test input on both control planes: fig7
+// with legacyExtra more staging nodes, and 2-shard runs without and with
+// standbys with shardExtra spare nodes behind the control plane.
+func planeConfigs(legacyExtra, shardExtra int) []namedConfig {
+	legacy := fig7Config()
+	legacy.StagingNodes += legacyExtra
+	out := []namedConfig{{"legacy", legacy}}
+	for k := 0; k <= 1; k++ {
+		cfg := shardedConfig(2, k, 0)
+		cfg.StagingNodes = 13 + controlNodes(cfg) + shardExtra
+		out = append(out, namedConfig{fmt.Sprintf("sharded-k%d", k), cfg})
+	}
+	return out
+}
+
 func TestCheckpointContainerRelaxedSLA(t *testing.T) {
-	cfg := fig7Config()
-	cfg.StagingNodes = 15 // leave room for the checkpoint container
-	cfg.CheckpointEvery = 4
-	cfg.CheckpointNodes = 2
+	// Legacy leaves two nodes for the checkpoint container; each shard's
+	// pool gets three of the six spare.
+	for _, tc := range planeConfigs(2, 6) {
+		tc.cfg.CheckpointEvery = 4
+		tc.cfg.CheckpointNodes = 2
+		t.Run(tc.name, func(t *testing.T) { checkRelaxedSLA(t, tc.cfg) })
+	}
+}
+
+func checkRelaxedSLA(t *testing.T, cfg Config) {
 	rt, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -493,9 +577,14 @@ func TestCheckpointContainerRelaxedSLA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertConserved(t, rt, res)
 	ckpt := rt.Container("checkpoint")
 	if ckpt == nil {
 		t.Fatal("no checkpoint container")
+	}
+	if rt.Sharded() && ckpt.shard != rt.Directory().ShardOf("checkpoint") {
+		t.Fatalf("checkpoint container on shard %d, directory says %d",
+			ckpt.shard, rt.Directory().ShardOf("checkpoint"))
 	}
 	// 20 steps, every 4th checkpointed -> 5 checkpoints aggregated.
 	if got := ckpt.StepsProcessed(); got != 5 {
@@ -542,31 +631,27 @@ func TestCheckpointContainerRelaxedSLA(t *testing.T) {
 }
 
 func TestSpreadPlacementStillConserves(t *testing.T) {
-	cfg := fig7Config()
-	cfg.SpreadPlacement = true
-	res := runScenario(t, cfg)
-	if res.Emitted != 20 {
-		t.Fatalf("emitted %d", res.Emitted)
-	}
-	total := res.Spare
-	for _, n := range res.FinalSizes {
-		total += n
-	}
-	if total != cfg.StagingNodes {
-		t.Fatalf("nodes %d != %d", total, cfg.StagingNodes)
-	}
-	// Interleaving must not assign a node to two containers.
-	seen := map[int]bool{}
-	rt, _ := Build(cfg)
-	for _, c := range rt.containers {
-		for _, n := range c.Nodes() {
-			if seen[n.ID] {
-				t.Fatalf("node %d assigned twice", n.ID)
+	for _, tc := range planeConfigs(0, 6) {
+		cfg := tc.cfg
+		cfg.SpreadPlacement = true
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[n.ID] = true
-		}
+			// Interleaving must not assign a node to two containers, at
+			// build time or after the run's resizes.
+			assertConserved(t, rt, nil)
+			res, err := rt.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Emitted != 20 {
+				t.Fatalf("emitted %d", res.Emitted)
+			}
+			assertConserved(t, rt, res)
+		})
 	}
-	rt.Shutdown()
 }
 
 // Property: the managed pipeline survives arbitrary configurations —

@@ -222,20 +222,26 @@ func TestCrossShardStealOnDryHeal(t *testing.T) {
 	}
 }
 
-// Killing a shard primary's node promotes that shard's standby via the
-// meta-manager's PromoteNotice; the other shard is untouched.
-func TestMetaPromotesShardStandby(t *testing.T) {
+// metaPromoteConfig is a 2-shard run with one standby per shard whose
+// shard-0 primary node crashes at t=60s.
+func metaPromoteConfig(t *testing.T) Config {
+	t.Helper()
 	cfg := shardedConfig(2, 1, 24)
 	cfg.ShardSeed = splitSeed(t, 2)
 	probe, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	primaryNode := probe.ShardManager(0).node
-	standby := probe.shardStandby[0]
+	primaryNode := probe.ShardManager(0).Node()
 	probe.Shutdown()
-
 	cfg.Faults = &fault.Config{Crashes: []fault.Crash{{Node: primaryNode, At: 60 * sim.Second}}}
+	return cfg
+}
+
+// Killing a shard primary's node promotes that shard's standby via the
+// meta-manager's PromoteNotice; the other shard is untouched.
+func TestMetaPromotesShardStandby(t *testing.T) {
+	cfg := metaPromoteConfig(t)
 	rt, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +256,7 @@ func TestMetaPromotesShardStandby(t *testing.T) {
 	if !hasAction(res, "failover", "global-manager") {
 		t.Fatalf("standby never took over: %v", res.Actions)
 	}
-	if rt.ShardManager(0) == rt.shardMgrs[0] {
+	if rt.ShardManager(0) == rt.Managers()[0] {
 		t.Fatal("shard 0's acting manager is still the dead primary")
 	}
 	if rt.ShardManager(0).InStandby() {
@@ -265,5 +271,4 @@ func TestMetaPromotesShardStandby(t *testing.T) {
 			t.Fatalf("healthy shard 1 promoted: %v", res.Actions)
 		}
 	}
-	_ = standby
 }
