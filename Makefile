@@ -75,19 +75,20 @@ bench:
 
 # bench-smoke proves every benchmark still runs and parses, without
 # touching the checked-in baseline (CI runs this). -assert-allocs guards
-# the harness itself: the ablation benchmarks emit ReportMetric columns
-# between ns/op and B/op, and a parser regression there once zeroed
-# every ablation's allocs/op in the baseline.
+# the harness itself: the ablation benchmarks and IocheckModule emit
+# ReportMetric columns between ns/op and B/op, and a parser regression
+# there once zeroed every ablation's allocs/op in the baseline.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
-	$(GO) run ./cmd/benchjson -assert-allocs 'Ablation,Fig5,Fig10,IocheckHotalloc,IocheckRoundflow,StreamingFanout' < bench.out > /dev/null
+	$(GO) run ./cmd/benchjson -assert-allocs 'Ablation,Fig5,Fig10,IocheckModule,StreamingFanout' < bench.out > /dev/null
 	rm -f bench.out
 
 # trace-smoke runs one traced fig7 scenario and fails unless the exported
-# Chrome trace_event JSON parses (iotrace validates its own export).
+# Chrome trace_event JSON parses (iocontainersim validates its own
+# -chrome export).
 trace-smoke:
 	out=$$(mktemp); \
-	$(GO) run ./cmd/iotrace -config scenarios/fig7.json -chrome $$out -critical || { rm -f $$out; exit 1; }; \
+	$(GO) run ./cmd/iocontainersim -config scenarios/fig7.json -chrome $$out -critical || { rm -f $$out; exit 1; }; \
 	rm -f $$out
 
 # race-smoke runs the chaos worker pool (the iochaos -seeds 16 -workers 4

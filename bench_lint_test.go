@@ -2,6 +2,7 @@ package iocontainer
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 )
@@ -11,69 +12,31 @@ import (
 // CHA call-graph layer, and runs all thirteen analyzers. It rides in `make
 // bench` so a regression in the whole-program analysis (an unbounded
 // summary fixpoint, a quadratic CFG walk) shows up in BENCH_baseline.json
-// next to the scenario benchmarks.
+// next to the scenario benchmarks. The load-ms and rules-ms columns split
+// each iteration between loading the module and running the rules, so a
+// slowdown names its half.
 func BenchmarkIocheckModule(b *testing.B) {
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var load, rules time.Duration
 	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
 		pkgs, err := analysis.LoadModule(root)
 		if err != nil {
 			b.Fatal(err)
 		}
+		t1 := time.Now()
 		diags := analysis.Run(pkgs, analysis.Analyzers())
+		load += t1.Sub(t0)
+		rules += time.Since(t1)
 		if n := len(analysis.Unsuppressed(diags)); n != 0 {
 			b.Fatalf("module has %d unsuppressed findings", n)
 		}
 	}
-}
-
-// BenchmarkIocheckHotalloc budgets the perf layer alone: heat
-// propagation over the CHA call graph plus the escape fixpoint, run via
-// the hotalloc and hotbox rules over the whole module. Module loading
-// is paid inside the loop (the rules re-derive facts from a fresh load,
-// matching how `iocheck -rules hotalloc` runs), so this tracks the
-// end-to-end cost of a perf-only lint pass.
-func BenchmarkIocheckHotalloc(b *testing.B) {
-	root, err := analysis.ModuleRoot(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pkgs, err := analysis.LoadModule(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		diags := analysis.Run(pkgs, []*analysis.Analyzer{analysis.HotAlloc, analysis.HotBox})
-		if n := len(analysis.Unsuppressed(diags)); n != 0 {
-			b.Fatalf("module has %d unsuppressed perf findings", n)
-		}
-	}
-}
-
-// BenchmarkIocheckRoundflow budgets the protocol-lifecycle layer alone:
-// the interprocedural round-summary fixpoint over the CHA call graph
-// plus the roundflow/roundterm CFG passes over the whole module. Module
-// loading is paid inside the loop, matching `iocheck -rules
-// roundflow,roundterm`, so this tracks the end-to-end cost of a
-// lifecycle-only lint pass.
-func BenchmarkIocheckRoundflow(b *testing.B) {
-	root, err := analysis.ModuleRoot(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pkgs, err := analysis.LoadModule(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		diags := analysis.Run(pkgs, []*analysis.Analyzer{analysis.RoundFlow, analysis.RoundTerm})
-		if n := len(analysis.Unsuppressed(diags)); n != 0 {
-			b.Fatalf("module has %d unsuppressed lifecycle findings", n)
-		}
-	}
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(ms(load), "load-ms")
+	b.ReportMetric(ms(rules), "rules-ms")
 }

@@ -1,19 +1,24 @@
-// Command iocontainersim runs one managed I/O-pipeline scenario and
-// prints its timeline: per-container latencies, queue depths, management
-// actions, and the run summary.
+// Command iocontainersim runs one scenario file and prints its timeline:
+// management actions, per-container outcomes, and the run summary. The
+// file is the whole description of the run (sizes, steps, seed, policy,
+// control plane, faults, subscribers); the flags only choose what to
+// print and export. Any tracing flag turns on causal tracing, which can
+// export a Chrome trace_event JSON (chrome://tracing / Perfetto-loadable)
+// and a plain-text timeline, install the flight recorder, and print a
+// critical-path report naming the container that dominates end-to-end
+// latency.
 //
 // Usage:
 //
-//	iocontainersim [-sim 256] [-staging 13] [-steps 20] [-period 15]
-//	               [-crack -1] [-seed 42] [-parallel-bonds]
-//	               [-no-management] [-no-offline] [-no-steal]
-//	               [-crash-node -1] [-crash-at 60] [-no-self-heal]
-//	               [-trace out.json] [-flight flight.txt]
+//	iocontainersim -config scenarios/fig7.json [-chart]
+//	               [-chrome out.json] [-text out.txt] [-flight flight.txt]
+//	               [-critical] [-ring 65536] [-kernel]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -21,125 +26,99 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/smartpointer"
 	"repro/internal/trace"
 )
 
-// showCharts toggles ASCII chart output (-chart).
-var showCharts bool
-
-// tracePath / flightPath hold the -trace and -flight output files.
-var tracePath, flightPath string
-
-func main() {
-	simNodes := flag.Int("sim", 256, "simulation partition size (nodes)")
-	staging := flag.Int("staging", 13, "staging partition size (nodes)")
-	steps := flag.Int("steps", 20, "output steps to run")
-	period := flag.Float64("period", 15, "output period (virtual seconds)")
-	crack := flag.Int64("crack", -1, "output step at which crack formation appears (-1: never)")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	parallelBonds := flag.Bool("parallel-bonds", false, "run Bonds under the MPI-style parallel model")
-	noMgmt := flag.Bool("no-management", false, "disable the global manager's policy (baseline)")
-	noOffline := flag.Bool("no-offline", false, "never take containers offline")
-	noSteal := flag.Bool("no-steal", false, "never steal nodes from other containers")
-	configPath := flag.String("config", "", "JSON scenario file (overrides the other flags)")
-	chart := flag.Bool("chart", false, "render ASCII charts of the key series")
-	standby := flag.Bool("standby", false, "deploy a standby global manager")
-	shards := flag.Int("shards", 0, "shard the control plane: per-shard managers under a meta-manager (0/1 = legacy single manager)")
-	shardStandbys := flag.Int("shard-standbys", 0, "standby managers per shard (0 or 1; requires -shards > 1)")
-	killGM := flag.Float64("kill-gm", 0, "kill the primary global manager at this virtual second (0 = never)")
-	crashNode := flag.Int("crash-node", -1, "machine node to fail-stop (-1 = none; staging IDs start at -sim)")
-	crashAt := flag.Float64("crash-at", 60, "virtual second at which -crash-node dies")
-	noHeal := flag.Bool("no-self-heal", false, "disable the replica-restart protocol")
-	traceFile := flag.String("trace", "", "export a Chrome trace_event JSON of the run to this file")
-	flightFile := flag.String("flight", "", "on SLA violation, queue overflow, or crash, dump the flight recorder to this file")
-	flag.Parse()
-	showCharts = *chart
-	tracePath = *traceFile
-	flightPath = *flightFile
-
-	if *configPath != "" {
-		cfg, err := scenario.LoadFile(*configPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iocontainersim:", err)
-			os.Exit(1)
-		}
-		runAndReport(cfg)
-		return
-	}
-
-	// On sharded runs the first staging nodes host the control plane
-	// (meta + per-shard managers and standbys); size the containers for
-	// the region that remains.
-	sizeNodes := *staging
-	if *shards > 1 {
-		sizeNodes -= 1 + *shards*(1+*shardStandbys)
-	}
-	cfg := core.Config{
-		SimNodes:      *simNodes,
-		StagingNodes:  *staging,
-		Sizes:         core.DefaultSizes(sizeNodes),
-		Steps:         *steps,
-		OutputPeriod:  sim.Time(*period * float64(sim.Second)),
-		CrackStep:     *crack,
-		Seed:          *seed,
-		StandbyGM:     *standby,
-		Shards:        *shards,
-		ShardStandbys: *shardStandbys,
-		Policy: core.PolicyConfig{
-			DisableManagement:  *noMgmt,
-			DisableOffline:     *noOffline,
-			DisableStealing:    *noSteal,
-			KillGMAt:           sim.Time(*killGM * float64(sim.Second)),
-			DisableSelfHealing: *noHeal,
-		},
-	}
-	if *parallelBonds {
-		cfg.Specs = core.SpecsWithBondsModel(smartpointer.ModelParallel)
-	}
-	if *crashNode >= 0 {
-		cfg.Faults = &fault.Config{
-			Crashes: []fault.Crash{{
-				Node: *crashNode,
-				At:   sim.Time(*crashAt * float64(sim.Second)),
-			}},
-		}
-	}
-	runAndReport(cfg)
+// outputs is what the flags ask for beyond the run summary.
+type outputs struct {
+	chart    bool
+	chrome   string
+	text     string
+	flight   string
+	critical bool
 }
 
-func runAndReport(cfg core.Config) {
-	if (tracePath != "" || flightPath != "") && cfg.Trace == nil {
-		cfg.Trace = &trace.Config{}
+func main() {
+	configPath := flag.String("config", "", "JSON scenario file (required)")
+	var out outputs
+	flag.BoolVar(&out.chart, "chart", false, "render ASCII charts of the key series")
+	flag.StringVar(&out.chrome, "chrome", "", "write a Chrome trace_event JSON of the run here (validated after writing)")
+	flag.StringVar(&out.text, "text", "", "write a plain-text trace timeline here")
+	flag.StringVar(&out.flight, "flight", "", "dump the flight recorder here on SLA violation, overflow, or crash")
+	flag.BoolVar(&out.critical, "critical", false, "print the critical-path report after the summary")
+	ring := flag.Int("ring", 0, "flight-recorder ring capacity in records (0 = default)")
+	kernel := flag.Bool("kernel", false, "also record raw simulator-kernel events")
+	flag.Parse()
+
+	if *configPath == "" {
+		fmt.Fprintln(os.Stderr, "iocontainersim: -config is required")
+		flag.Usage()
+		os.Exit(2)
 	}
+	cfg, err := scenario.LoadFile(*configPath)
+	if err != nil {
+		fail(err)
+	}
+	if out.chrome != "" || out.text != "" || out.flight != "" || out.critical || *ring > 0 || *kernel {
+		cfg.Trace = &trace.Config{RingCap: *ring, Kernel: *kernel}
+	}
+	run(cfg, out)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "iocontainersim:", err)
+	os.Exit(1)
+}
+
+// run builds and runs the scenario, writes the requested trace exports,
+// then prints the report and, with -critical, the critical path.
+func run(cfg core.Config, out outputs) {
 	rt, err := core.Build(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "iocontainersim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	if flightPath != "" {
-		rec := rt.Tracer()
+	rec := rt.Tracer()
+	if out.flight != "" {
 		rec.OnTrigger(func(reason string) {
-			if err := dumpFlight(flightPath, reason, rec.Records()); err != nil {
+			if err := dumpFlight(out.flight, reason, rec.Records()); err != nil {
 				fmt.Fprintln(os.Stderr, "iocontainersim: flight dump:", err)
 				return
 			}
 			fmt.Fprintf(os.Stderr, "iocontainersim: flight recorder dumped to %s (trigger: %s)\n",
-				flightPath, reason)
+				out.flight, reason)
 		})
 	}
 	res, err := rt.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "iocontainersim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	if tracePath != "" {
-		if err := exportChrome(tracePath, rt.Tracer().Records()); err != nil {
-			fmt.Fprintln(os.Stderr, "iocontainersim: trace export:", err)
-			os.Exit(1)
+	recs := rec.Records()
+	if dropped := rec.Dropped(); dropped > 0 {
+		fmt.Fprintf(os.Stderr, "iocontainersim: ring evicted %d records (oldest first); raise -ring for a full trace\n", dropped)
+	}
+	if out.chrome != "" {
+		if err := exportChrome(out.chrome, recs); err != nil {
+			fail(err)
 		}
 	}
+	if out.text != "" {
+		if err := writeFile(out.text, func(w io.Writer) error { return trace.WriteText(w, recs) }); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "iocontainersim: text timeline written to %s\n", out.text)
+	}
+	report(rt, res, out)
+	if out.critical {
+		fmt.Println()
+		if err := trace.AnalyzeCriticalPath(recs).WriteReport(os.Stdout); err != nil {
+			fail(err)
+		}
+	}
+}
+
+// report prints the run summary: the management actions, each container's
+// outcome, the run totals, and the optional charts.
+func report(rt *core.Runtime, res *core.Result, out outputs) {
 	eff := rt.Config()
 
 	fmt.Printf("scenario: %d simulation + %d staging nodes, %d steps every %s (scale: %d atoms, %.1f MB/step)\n",
@@ -197,11 +176,11 @@ func runAndReport(cfg core.Config) {
 	printDelivery(res)
 	printSubscribers(res)
 
-	if trig, ok := rt.Tracer().Triggered(); ok && flightPath != "" {
-		fmt.Printf("flight recorder: triggered (%s), dump in %s\n", trig, flightPath)
+	if trig, ok := rt.Tracer().Triggered(); ok && out.flight != "" {
+		fmt.Printf("flight recorder: triggered (%s), dump in %s\n", trig, out.flight)
 	}
 
-	if showCharts {
+	if out.chart {
 		for _, name := range names {
 			s := res.Recorder.Series("latency." + name)
 			if s.Len() < 2 {
@@ -285,28 +264,41 @@ func printSubscribers(res *core.Result) {
 		maxLag, unaccounted, res.WriterStalled, hs.PublishStall)
 }
 
-// exportChrome writes the recorder contents as Chrome trace_event JSON.
+// exportChrome writes the records as Chrome trace_event JSON, then reads
+// the file back and validates it.
 func exportChrome(path string, recs []trace.Record) error {
-	f, err := os.Create(path)
+	if err := writeFile(path, func(w io.Writer) error { return trace.WriteChrome(w, recs) }); err != nil {
+		return err
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChrome(f, recs); err != nil {
-		f.Close()
-		return err
+	n, err := trace.ValidateChrome(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("exported trace does not validate: %w", err)
 	}
-	return f.Close()
+	fmt.Fprintf(os.Stderr, "iocontainersim: Chrome trace written to %s (%d events, validated)\n", path, n)
+	return nil
 }
 
 // dumpFlight writes a flight-recorder snapshot: a header naming the trigger,
 // then the plain-text timeline of everything still in the ring.
 func dumpFlight(path, reason string, recs []trace.Record) error {
+	return writeFile(path, func(w io.Writer) error {
+		fmt.Fprintf(w, "# flight recorder dump  trigger=%s  records=%d\n", reason, len(recs))
+		return trace.WriteText(w, recs)
+	})
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(f, "# flight recorder dump  trigger=%s  records=%d\n", reason, len(recs))
-	if err := trace.WriteText(f, recs); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

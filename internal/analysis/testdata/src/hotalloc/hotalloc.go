@@ -65,8 +65,8 @@ func submit(e *engine, v int, err error) {
 	}
 }
 
-// stamp mirrors trace.Stamp: the lazy map make in the nil branch is the
-// steady state, not failure handling, and must be flagged.
+// stamp fills a lazily created attribute map: the make in the nil branch
+// is the steady state, not failure handling, and must be flagged.
 //
 //iocheck:hot
 func stamp(attrs map[string]string, id string) map[string]string {

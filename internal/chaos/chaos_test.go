@@ -142,11 +142,12 @@ func TestRegressionRoundTrips(t *testing.T) {
 }
 
 // TestSubConservationOracleCatchesSeededCursorSkip is the smoke test for
-// the per-subscriber conservation oracle: with the deliberately seeded
-// cursor-skip bug enabled (every n-th spill catch-up read advances the
-// cursor without delivering), the oracle must fire; without it, the same
-// dashboards run is clean. This proves the oracle audits the ledger
-// rather than vacuously passing.
+// the per-subscriber conservation oracle: the dashboards run is clean,
+// and the same result with one sequence missing from one subscriber's
+// ledger — what a cursor that skips a spill catch-up read without
+// delivering it leaves behind — must fire the oracle. This proves the
+// oracle audits the ledger rather than vacuously passing. The datatap
+// tests prove a real cursor skip opens exactly such a hole.
 func TestSubConservationOracleCatchesSeededCursorSkip(t *testing.T) {
 	base, err := scenario.ReadFile("../../scenarios/dashboards.json")
 	if err != nil {
@@ -154,7 +155,7 @@ func TestSubConservationOracleCatchesSeededCursorSkip(t *testing.T) {
 	}
 	// Shrink the fleet so the smoke run stays fast; the Zipf tail still
 	// lags far past the shared tail and exercises the spill catch-up
-	// path the seeded bug lives on.
+	// path.
 	subs := *base.Subscribers
 	subs.Count = 24
 	base.Subscribers = &subs
@@ -164,8 +165,7 @@ func TestSubConservationOracleCatchesSeededCursorSkip(t *testing.T) {
 		t.Fatalf("clean dashboards run violated oracles: %v", vs)
 	}
 
-	subs.InjectCursorSkip = 3
-	ri = RunSchedule(base, &scenario.Faults{})
+	ri.Res.Subscribers[len(ri.Res.Subscribers)/2].Delivered--
 	vs := CheckOracles(ri, DefaultOracles())
 	found := false
 	for _, v := range vs {
@@ -174,6 +174,6 @@ func TestSubConservationOracleCatchesSeededCursorSkip(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("seeded cursor-skip bug escaped the sub-conservation oracle; violations: %v", vs)
+		t.Fatalf("seeded ledger hole escaped the sub-conservation oracle; violations: %v", vs)
 	}
 }

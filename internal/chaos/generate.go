@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -86,11 +87,8 @@ func Generate(seed int64, base *scenario.File, gc GenConfig) *scenario.Faults {
 	// ctl stays 0 for legacy bases, keeping their draw sequence (and thus
 	// every historical seed's schedule) byte-identical.
 	ctl := 0
-	if base.Shards != nil && base.Shards.Count > 1 {
-		ctl = 1 + base.Shards.Count*(1+base.Shards.Standbys)
-		if ctl > staging {
-			ctl = staging
-		}
+	if base.Shards != nil {
+		ctl = min(core.ControlNodes(base.Shards.Count, base.Shards.Standbys), staging)
 	}
 	stagingRef := func() scenario.NodeRef {
 		idx := r.Intn(staging)

@@ -48,9 +48,6 @@ type PolicyConfig struct {
 	// are guaranteed to be added to the recipient or returned. Aborted
 	// trades roll back.
 	TransactionalTrades bool
-	// InjectTradeFailures makes the first N trade transactions fail (a
-	// participant goes silent), exercising the rollback path.
-	InjectTradeFailures int
 	// KillGMAt, when > 0, makes the primary global manager die (stop
 	// serving) at that virtual time — the failure the standby exists
 	// for. Death is immediate: an in-flight control round is abandoned
@@ -170,6 +167,10 @@ type GlobalManager struct {
 	rsp    *evpath.Mailbox
 	agg    *monitor.Aggregator
 	policy PolicyConfig
+	// injectTradeFailures makes the next N trade transactions fail (the
+	// donor-side participant goes silent); a test seam for the rollback
+	// path.
+	injectTradeFailures int
 
 	toContainer   map[string]*evpath.Stone
 	spare         []*cluster.Node
@@ -461,7 +462,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 		}
 	case *SubNotice:
 		gm.lastHeard[data.From] = p.Now()
-		gm.rt.tracer.Instant(ev.Ctx(), "ctl", "sub-notice").
+		gm.rt.tracer.Instant(ev.Span, "ctl", "sub-notice").
 			Container(data.From).Node(gm.node).AttrInt("seq", data.Seq).End()
 		// Dedupe per subscriber on the reconnect generation: a reconnect
 		// storm collapses to one resume round per subscriber. Defer the
@@ -962,8 +963,8 @@ func (gm *GlobalManager) gather(p *sim.Proc, bneck *Container, want int, unattai
 func (gm *GlobalManager) tradeTxn(p *sim.Proc, victim, bneck *Container) bool {
 	cfg := txn.Config{Writers: 2, Readers: 1,
 		VoteTimeout: gm.policy.TradeVoteTimeout, Tracer: gm.rt.tracer}
-	if gm.policy.InjectTradeFailures > 0 {
-		gm.policy.InjectTradeFailures--
+	if gm.injectTradeFailures > 0 {
+		gm.injectTradeFailures--
 		cfg.SilentRanks = map[int]bool{1: true} // the donor-side manager fails
 	}
 	tx, err := txn.New(gm.rt.eng, gm.rt.mach, cfg)

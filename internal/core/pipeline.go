@@ -85,9 +85,6 @@ type Config struct {
 	// report at the container boundary before it crosses the machine
 	// (0/1 = none). §III-E: "how they are processed and where".
 	MonitorAggregateN int
-	// TraceSteps records each step's per-stage completion times in
-	// Result.StepTrace (diagnostic; off by default).
-	TraceSteps bool
 	// Shards > 1 replaces the single global manager with the sharded
 	// hierarchical control plane: containers are assigned to Shards
 	// shard managers by a seeded consistent-hash ring, with a
@@ -201,7 +198,6 @@ type Runtime struct {
 	exits        int64
 	dropped      int
 	firstErr     error
-	stepTrace    map[int64]map[string]sim.Time
 	deliveryLost []LostStep
 
 	// faults is the armed fault schedule (nil on fault-free runs).
@@ -246,6 +242,17 @@ type controlLayout struct {
 	region    []*cluster.Node // container nodes, in placement order
 }
 
+// ControlNodes is the number of leading staging nodes a control plane of
+// the given shape reserves for itself: none on legacy runs (shards <= 1),
+// where the managers share container nodes; on sharded runs the
+// meta-manager plus every shard primary and its standbys.
+func ControlNodes(shards, standbys int) int {
+	if shards <= 1 {
+		return 0
+	}
+	return 1 + shards*(1+standbys)
+}
+
 // layoutControl chooses the control-plane nodes. A legacy run is one
 // plane co-located with the containers: the global manager on the first
 // container node, the standby (Config.StandbyGM) on the second. A sharded
@@ -268,7 +275,7 @@ func layoutControl(cfg Config, staging []*cluster.Node) (controlLayout, error) {
 		if cfg.Policy.KillGMAt > 0 {
 			return l, fmt.Errorf("core: Policy.KillGMAt targets the legacy single manager; crash shard managers via a fault schedule")
 		}
-		ctl = 1 + S*(1+k)
+		ctl = ControlNodes(S, k)
 		if ctl >= len(staging) {
 			return l, fmt.Errorf("core: %d control-plane nodes (meta + %d shards ×%d) leave no staging nodes for containers (%d total)",
 				ctl, S, 1+k, len(staging))
@@ -306,9 +313,6 @@ func layoutControl(cfg Config, staging []*cluster.Node) (controlLayout, error) {
 func Build(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{cfg: cfg, byName: map[string]*Container{}, rec: metrics.NewRecorder()}
-	if cfg.TraceSteps {
-		rt.stepTrace = make(map[int64]map[string]sim.Time)
-	}
 	rt.eng = sim.NewEngine(cfg.Seed)
 	if cfg.Trace != nil {
 		rt.tracer = trace.New(rt.eng, *cfg.Trace)
@@ -808,14 +812,6 @@ func (rt *Runtime) recordSample(s monitor.Sample) {
 	rt.rec.Series("latency."+s.Container).Add(t, s.Latency.Seconds())
 	rt.rec.Series("queue."+s.Container).Add(t, float64(s.QueueLen))
 	rt.rec.Series("service."+s.Container).Add(t, s.Service.Seconds())
-	if rt.stepTrace != nil {
-		st := rt.stepTrace[s.Step]
-		if st == nil {
-			st = make(map[string]sim.Time)
-			rt.stepTrace[s.Step] = st
-		}
-		st[s.Container] = t
-	}
 }
 
 // recordExit notes a step leaving the pipeline. Checkpoint flushes go to
@@ -934,9 +930,6 @@ type Result struct {
 	// Provenance maps container name to the provenance attribute it
 	// stamped on disk output (empty if none).
 	Provenance map[string]string
-	// StepTrace (when Config.TraceSteps) maps step -> container -> the
-	// virtual time the container finished that step.
-	StepTrace map[int64]map[string]sim.Time
 	// Suspects lists containers the global manager gave up on (control
 	// rounds exhausted their retries), sorted.
 	Suspects []string
@@ -998,7 +991,6 @@ func (rt *Runtime) result() *Result {
 		FinalSizes:       map[string]int{},
 		Provenance:       map[string]string{},
 	}
-	res.StepTrace = rt.stepTrace
 	if rt.dir == nil {
 		gm := rt.mgrs.acting[0]
 		res.Actions = gm.Actions()

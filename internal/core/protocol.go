@@ -257,7 +257,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 				// A round from a deposed manager epoch. Refuse it — even a
 				// cached one: serving (or re-serving) it would let a stale
 				// primary keep mutating the pipeline after a failover.
-				c.fence(p, h.Seq, e, ev.Ctx())
+				c.fence(p, h.Seq, e, ev.Span)
 				continue
 			}
 			if e > c.fencedEpoch {
@@ -267,7 +267,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 		if cached, dup := served[h.Seq]; dup {
 			// A retried round answered from the cache: visible in the
 			// trace as an instant chained to the retry's round span.
-			c.rt.tracer.Instant(ev.Ctx(), "ctl", "dedupe").
+			c.rt.tracer.Instant(ev.Span, "ctl", "dedupe").
 				Container(c.spec.Name).Node(c.mgrEV.Node()).
 				AttrInt("seq", h.Seq).End()
 			c.reply(p, h.Seq, cached)
@@ -276,7 +276,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 			}
 			continue
 		}
-		sp := c.rt.tracer.Begin(ev.Ctx(), "ctl",
+		sp := c.rt.tracer.Begin(ev.Span, "ctl",
 			"serve."+strings.TrimPrefix(ev.Type, "ctl.")).
 			Container(c.spec.Name).Node(c.mgrEV.Node())
 		var resp roundMsg

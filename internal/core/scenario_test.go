@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/smartpointer"
+	"repro/internal/trace"
 )
 
 // runScenario builds and runs a config, failing the test on error.
@@ -425,8 +426,15 @@ func TestTransactionalTradeCommit(t *testing.T) {
 func TestTransactionalTradeRollback(t *testing.T) {
 	cfg := fig7Config()
 	cfg.Policy.TransactionalTrades = true
-	cfg.Policy.InjectTradeFailures = 1
-	res := runScenario(t, cfg)
+	rt, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.GM().injectTradeFailures = 1
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// First trade aborts and rolls back; a later tick retries and
 	// succeeds.
 	if !hasAction(res, "trade-abort", "bonds") {
@@ -456,23 +464,13 @@ func TestTransactionalTradeRollback(t *testing.T) {
 	}
 }
 
-// controlNodes is the number of staging nodes the control plane keeps
-// for itself: none on legacy runs, where the managers share container
-// nodes; the meta plus every shard primary and standby when sharded.
-func controlNodes(cfg Config) int {
-	if cfg.Shards <= 1 {
-		return 0
-	}
-	return 1 + cfg.Shards*(1+cfg.ShardStandbys)
-}
-
 // assertConserved checks that every staging node outside the control
 // plane is in exactly one container or one acting manager's spare pool,
 // and that the run summary (res, when non-nil) accounts for all of them.
 func assertConserved(t *testing.T, rt *Runtime, res *Result) {
 	t.Helper()
 	cfg := rt.Config()
-	want := cfg.StagingNodes - controlNodes(cfg)
+	want := cfg.StagingNodes - ControlNodes(cfg.Shards, cfg.ShardStandbys)
 	owner := map[int]string{}
 	claim := func(id int, by string) {
 		if prev, ok := owner[id]; ok {
@@ -552,7 +550,7 @@ func planeConfigs(legacyExtra, shardExtra int) []namedConfig {
 	out := []namedConfig{{"legacy", legacy}}
 	for k := 0; k <= 1; k++ {
 		cfg := shardedConfig(2, k, 0)
-		cfg.StagingNodes = 13 + controlNodes(cfg) + shardExtra
+		cfg.StagingNodes = 13 + ControlNodes(cfg.Shards, cfg.ShardStandbys) + shardExtra
 		out = append(out, namedConfig{fmt.Sprintf("sharded-k%d", k), cfg})
 	}
 	return out
@@ -722,26 +720,28 @@ func TestRandomConfigTortureProperty(t *testing.T) {
 func TestStepTrace(t *testing.T) {
 	cfg := fig7Config()
 	cfg.Steps = 6
-	cfg.TraceSteps = true
+	cfg.Trace = &trace.Config{}
 	rt, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Run()
-	if err != nil {
+	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.StepTrace) == 0 {
-		t.Fatal("no step trace")
-	}
 	// Stage completions for a step must be chronologically ordered along
-	// the pipeline.
-	st, ok := res.StepTrace[0]
-	if !ok {
-		t.Fatalf("step 0 missing: %v", res.StepTrace)
+	// the pipeline: each container's finished compute span for step 0
+	// ends before the next stage's.
+	done := map[string]sim.Time{}
+	for _, r := range rt.Tracer().Records() {
+		if r.Cat == "core" && r.Name == "compute" && r.Step == 0 && r.Attr("interrupted") == "" {
+			done[r.Container] = r.End
+		}
 	}
-	if !(st["helper"] < st["bonds"] && st["bonds"] < st["csym"]) {
-		t.Fatalf("stage order broken: %v", st)
+	if len(done) == 0 {
+		t.Fatal("no step-0 compute spans")
+	}
+	if !(done["helper"] < done["bonds"] && done["bonds"] < done["csym"]) {
+		t.Fatalf("stage order broken: %v", done)
 	}
 }
 

@@ -204,10 +204,6 @@ type SubscribersConfig struct {
 	ZipfS float64
 	// BaseInterval is the fastest subscriber's read period (default 1 s).
 	BaseInterval sim.Time
-	// InjectCursorSkip seeds the deliberate conservation bug the chaos
-	// smoke test uses to prove the sub-conservation oracle fires (see
-	// datatap.SubConfig). Never set outside tests.
-	InjectCursorSkip int
 }
 
 // buildSubscribers attaches the hub and spawns the fleet: one paced
@@ -226,7 +222,7 @@ func (rt *Runtime) buildSubscribers(cfg Config) error {
 	}
 	ch := rt.channels[stage]
 	hub := ch.AttachHub(datatap.SubConfig{BufCap: sc.BufCap, TailCap: sc.TailCap,
-		DisableSpill: sc.DisableSpill, InjectCursorSkip: sc.InjectCursorSkip})
+		DisableSpill: sc.DisableSpill})
 	rt.subHub = hub
 	// The hub is served by the container consuming the stage channel: its
 	// local manager owns the hub for control rounds.

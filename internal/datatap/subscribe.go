@@ -46,11 +46,6 @@ type SubConfig struct {
 	// DisableSpill turns the degrade tier off: evicted entries a
 	// subscriber still needs are counted as knowing drops instead.
 	DisableSpill bool
-	// InjectCursorSkip, when n > 0, makes every n-th spill catch-up read
-	// advance the cursor without delivering — a deliberately seeded
-	// conservation bug the chaos smoke test uses to prove the
-	// sub-conservation oracle actually fires. Never set outside tests.
-	InjectCursorSkip int
 }
 
 // withDefaults fills zero fields.
@@ -183,7 +178,6 @@ type Subscriber struct {
 	resumes    int64
 	replays    int64
 	maxLag     int64
-	skipTick   int64 // InjectCursorSkip counter
 }
 
 // Subscribe attaches a new subscriber reading from the given node. The
@@ -435,17 +429,6 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 					// reclaim watermark cannot pass our cursor).
 					sp.Attr("fail", "crashed").End()
 					continue
-				}
-				if n := int64(h.cfg.InjectCursorSkip); n > 0 {
-					s.skipTick++
-					if s.skipTick%n == 0 {
-						// Seeded bug (tests only): skip the sequence without
-						// delivering or counting — the conservation oracle
-						// must catch this.
-						s.advance()
-						sp.Attr("fail", "cursor-skip").End()
-						continue
-					}
 				}
 				s.advance()
 				s.delivered++

@@ -121,6 +121,43 @@ func TestReconnectCursorBehindTailFloorResumesFromSpill(t *testing.T) {
 	}
 }
 
+// Mutation check for the ledger: a cursor that advances past a
+// spill-resident sequence without delivering or counting it (the shape of
+// a catch-up read that skips) must leave the subscriber's conservation
+// equation unbalanced. The chaos sub-conservation oracle audits exactly
+// Unaccounted, so this proves the ledger can see such a bug.
+func TestCursorSkipOpensLedgerHole(t *testing.T) {
+	eng, _, ch := newTestChannel(0, 0)
+	h := ch.AttachHub(SubConfig{BufCap: 2, TailCap: 4})
+	sub := h.Subscribe("dash", 2)
+	eng.Go("driver", func(p *sim.Proc) {
+		h.Crash("dash")
+		w := ch.NewWriter(0)
+		for i := int64(0); i < 12; i++ {
+			w.Write(p, i, 1<<16, nil)
+		}
+		if _, _, fromSpill, ok := h.Resume("dash"); !ok || !fromSpill {
+			t.Errorf("Resume fromSpill=%v ok=%v, want a spill catch-up", fromSpill, ok)
+		}
+		if u := sub.Snapshot().Unaccounted(); u != 0 {
+			t.Errorf("ledger unbalanced before the skip: %d", u)
+		}
+		sub.advance() // the seeded bug: skip sequence 1 undelivered
+		ch.Close()
+	})
+	eng.Go("dash", func(p *sim.Proc) {
+		for {
+			if _, ok := sub.Fetch(p); !ok {
+				return
+			}
+		}
+	})
+	eng.Run()
+	if snap := sub.Snapshot(); snap.Unaccounted() == 0 {
+		t.Fatalf("skipped sequence left the ledger balanced: %+v", snap)
+	}
+}
+
 // Edge case: a double crash of the same subscriber within one step is a
 // no-op — the second Crash reports false and must not bump the reconnect
 // generation, or a stale SubNotice could win the dedupe race.

@@ -57,7 +57,7 @@ func (b *bridge) run(p *sim.Proc) {
 			return
 		}
 		size := ev.Size + descriptorBytes
-		sp := b.owner.tracer.Begin(ev.Ctx(), "evpath", "send").
+		sp := b.owner.tracer.Begin(ev.Span, "evpath", "send").
 			Node(b.owner.node).Attr("type", ev.Type).
 			AttrInt("bytes", size).AttrInt("dst", int64(b.target.mgr.node))
 		if b.owner.machine != nil {
@@ -90,7 +90,7 @@ func (b *bridge) run(p *sim.Proc) {
 
 // dropInstant records an enqueue-side drop (no courier involved).
 func (b *bridge) dropInstant(ev *Event, why string) {
-	b.owner.tracer.Instant(ev.Ctx(), "evpath", "drop").
+	b.owner.tracer.Instant(ev.Span, "evpath", "drop").
 		Node(b.owner.node).Attr("type", ev.Type).Attr("why", why).End()
 }
 

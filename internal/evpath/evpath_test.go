@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func localManager() (*sim.Engine, *Manager) {
@@ -77,22 +78,24 @@ func TestTransformRewritesAndDrops(t *testing.T) {
 	}
 }
 
-func TestSplitClonesAttrs(t *testing.T) {
+// A split hands each target its own copy: one branch annotating the event
+// must not leak into its sibling.
+func TestSplitClonesEvents(t *testing.T) {
 	eng, m := localManager()
-	seen := map[string]string{}
+	seen := map[string]trace.SpanID{}
 	mk := func(name string) *Stone {
 		return m.NewStone(Terminal(func(ev *Event) {
-			ev.Attrs["branch"] = name // mutation must not leak to sibling
-			seen[name] = ev.Attrs["origin"]
+			seen[name] = ev.Span
+			ev.Span = 99 // mutation must not leak to sibling
 		}))
 	}
 	split := m.NewStone(nil)
 	split.Link(mk("left")).Link(mk("right"))
 	eng.Go("p", func(p *sim.Proc) {
-		split.Submit(p, &Event{Type: "x", Attrs: map[string]string{"origin": "src"}})
+		split.Submit(p, &Event{Type: "x", Span: 7})
 	})
 	eng.Run()
-	if seen["left"] != "src" || seen["right"] != "src" {
+	if seen["left"] != 7 || seen["right"] != 7 {
 		t.Fatalf("seen %v", seen)
 	}
 }

@@ -105,10 +105,6 @@ type SubscribersSpec struct {
 	ZipfS float64 `json:"zipfS,omitempty"`
 	// BaseIntervalSec is the fastest subscriber's read period (0 = 1 s).
 	BaseIntervalSec float64 `json:"baseIntervalSec,omitempty"`
-	// InjectCursorSkip seeds the deliberate conservation bug the chaos
-	// smoke test uses to prove the sub-conservation oracle fires. Never
-	// set outside tests.
-	InjectCursorSkip int `json:"injectCursorSkip,omitempty"`
 }
 
 // toConfig validates the section; stage bounds are checked later at build
@@ -132,18 +128,14 @@ func (s *SubscribersSpec) toConfig() (*core.SubscribersConfig, error) {
 	if s.BaseIntervalSec < 0 {
 		return nil, fmt.Errorf("scenario: field %q: %g is negative", "subscribers.baseIntervalSec", s.BaseIntervalSec)
 	}
-	if s.InjectCursorSkip < 0 {
-		return nil, fmt.Errorf("scenario: field %q: %d is negative", "subscribers.injectCursorSkip", s.InjectCursorSkip)
-	}
 	return &core.SubscribersConfig{
-		Count:            s.Count,
-		Stage:            s.Stage,
-		BufCap:           s.BufCap,
-		TailCap:          s.TailCap,
-		DisableSpill:     s.DisableSpill,
-		ZipfS:            s.ZipfS,
-		BaseInterval:     sim.Time(s.BaseIntervalSec * float64(sim.Second)),
-		InjectCursorSkip: s.InjectCursorSkip,
+		Count:        s.Count,
+		Stage:        s.Stage,
+		BufCap:       s.BufCap,
+		TailCap:      s.TailCap,
+		DisableSpill: s.DisableSpill,
+		ZipfS:        s.ZipfS,
+		BaseInterval: sim.Time(s.BaseIntervalSec * float64(sim.Second)),
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -267,15 +268,28 @@ func TestLoadFaultSchedule(t *testing.T) {
 	}
 }
 
+// Every shipped scenario, the chaos regression replays included, must
+// load and build, so no schema change can strand a checked-in file.
 func TestShippedScenarioFiles(t *testing.T) {
-	for _, name := range []string{"fig7", "fig9", "failover", "checkpointed", "faults"} {
-		cfg, err := LoadFile("../../scenarios/" + name + ".json")
+	var paths []string
+	for _, pattern := range []string{"../../scenarios/*.json", "../../scenarios/regressions/*.json"} {
+		m, err := filepath.Glob(pattern)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no shipped scenario files found")
+	}
+	for _, path := range paths {
+		cfg, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 		rt, err := core.Build(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", path, err)
 		}
 		rt.Shutdown() // build-only smoke: the figures test full runs
 	}

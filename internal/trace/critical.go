@@ -168,7 +168,8 @@ func AnalyzeCriticalPath(recs []Record) *CriticalPath {
 	return cp
 }
 
-// WriteReport prints the analysis in the iotrace CLI's human format.
+// WriteReport prints the analysis in the human format of iocontainersim
+// -critical.
 func (cp *CriticalPath) WriteReport(w io.Writer) error {
 	if len(cp.Steps) == 0 {
 		_, err := fmt.Fprintln(w, "critical path: no step-scoped spans in trace")
