@@ -24,11 +24,11 @@
 // -baseline compares the tree against a checked-in per-rule ratchet file
 // with two maps: "findings" (unsuppressed diagnostics each rule is
 // grandfathered) and "suppressed" (audited //iocheck:allow exceptions
-// each rule is permitted). Finding growth fails the run; finding
-// shrinkage also fails — the baseline is stale and must be ratcheted
-// down with -write-baseline (`make lint-baseline`), so the debt level
-// can only be consciously moved. Suppression counts fail only on growth.
-// A baseline without a "findings" key reads as all-zero, which keeps old
+// each rule is permitted). Growth of either count fails the run, and so
+// does shrinkage: the baseline is stale and must be ratcheted down with
+// -write-baseline (`make lint-baseline`), so neither count moves
+// unnoticed and a retired audit leaves no free allow behind. A baseline
+// without a "findings" key reads as all-zero, which keeps old
 // suppression-only files working. -write-baseline regenerates the file
 // from the current tree.
 //
@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "also print suppressed diagnostics")
 	rules := fs.String("rules", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := fs.Bool("json", false, "print all diagnostics (suppressed included) as a JSON array")
-	baseline := fs.String("baseline", "", "per-rule ratchet file; finding growth fails, finding shrinkage demands regeneration")
+	baseline := fs.String("baseline", "", "per-rule ratchet file; growth fails, shrinkage demands regeneration")
 	writeBaseline := fs.String("write-baseline", "", "write current per-rule finding and suppression counts to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for _, s := range stale {
 				fmt.Fprintln(stderr, "iocheck: "+s)
 			}
-			fmt.Fprintln(stderr, "iocheck: stale baseline: finding counts shrank; ratchet down with `make lint-baseline`")
+			fmt.Fprintln(stderr, "iocheck: stale baseline: finding or suppression counts shrank; ratchet down with `make lint-baseline`")
 			return 1
 		}
 		if failures > 0 {
@@ -197,10 +197,9 @@ func writeBaselineFile(path string, diags []analysis.Diagnostic) error {
 }
 
 // checkBaseline diffs the tree's per-rule counts against the ratchet
-// file. grown collects finding growth and suppression growth (both fail
-// outright); stale collects finding shrinkage (the baseline must be
-// ratcheted down so the improvement cannot silently regress). Shrinking
-// suppression counts is fine — retiring an audit needs no ceremony.
+// file. grown collects growth and stale collects shrinkage of either
+// count; both fail the run, so an improvement cannot silently regress
+// and a retired audit's slot cannot be reused by a new allow.
 func checkBaseline(path string, diags []analysis.Diagnostic) (grown, stale []string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -221,8 +220,12 @@ func checkBaseline(path string, diags []analysis.Diagnostic) (grown, stale []str
 		}
 	}
 	for _, rule := range ruleUnion(counts.Suppressed, base.Suppressed) {
-		if n, allowed := counts.Suppressed[rule], base.Suppressed[rule]; n > allowed {
+		n, allowed := counts.Suppressed[rule], base.Suppressed[rule]
+		switch {
+		case n > allowed:
 			grown = append(grown, fmt.Sprintf("rule %s has %d suppression(s), baseline allows %d", rule, n, allowed))
+		case n < allowed:
+			stale = append(stale, fmt.Sprintf("rule %s has %d suppression(s), baseline still allows %d", rule, n, allowed))
 		}
 	}
 	sort.Strings(grown)

@@ -224,7 +224,8 @@ func Bad() int64 { return time.Now().UnixNano() }
 
 // TestBaselineRatchet: a run matching the baseline passes; adding one
 // more allow makes it fail; regenerating with -write-baseline passes
-// again.
+// again; retiring an allow makes the baseline stale until it is
+// regenerated downward.
 func TestBaselineRatchet(t *testing.T) {
 	files := map[string]string{
 		"go.mod": "module ratchet\n\ngo 1.22\n",
@@ -267,6 +268,15 @@ func Stamp2() int64 { return time.Now().UnixNano() }
 	}
 	if code := run([]string{"-baseline", base, grownRoot + "/..."}, &out, &errOut); code != 0 {
 		t.Fatalf("after regenerate exit = %d, want 0", code)
+	}
+	// The one-allow tree against the two-allow baseline: the spare slot
+	// would grant a free exception, so the baseline is stale.
+	errOut.Reset()
+	if code := run([]string{"-baseline", base, root + "/..."}, &out, &errOut); code != 1 {
+		t.Fatalf("shrunk suppressions exit = %d, want 1; stderr=%q", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "stale baseline") || !strings.Contains(errOut.String(), "baseline still allows 2") {
+		t.Errorf("stale suppression message: %q", errOut.String())
 	}
 	// A missing baseline file is a load error, not a finding.
 	if code := run([]string{"-baseline", filepath.Join(root, "nope.json"), root + "/..."}, &out, &errOut); code != 2 {

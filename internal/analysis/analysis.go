@@ -25,7 +25,9 @@
 //	//iocheck:allow <rule> <reason>
 //
 // The reason is mandatory; an allow comment without one is itself a
-// diagnostic.
+// diagnostic. So is a stale allow: one naming a rule of the running set
+// that suppresses no finding of that rule. Allows for rules outside the
+// running set (`iocheck -rules`, or Run with a subset) are not judged.
 package analysis
 
 import (
@@ -98,6 +100,10 @@ func Analyzers() []*Analyzer {
 // byte-identical even when one position carries several findings.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	prog := NewProgram(pkgs)
+	running := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		running[a.Name] = true
+	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		allows := collectAllows(pkg)
@@ -110,6 +116,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			out = append(out, applyAllows(pass.diags, allows)...)
 		}
 		out = append(out, allows.malformed...)
+		// An allow for a running rule that suppressed nothing is stale:
+		// its audit outlived the finding and would excuse the next one.
+		for _, site := range allows.sites {
+			if running[site.rule] && !site.used {
+				out = append(out, Diagnostic{Pos: site.pos, Rule: "allow",
+					Message: "stale //iocheck:allow " + site.rule + " comment: it suppresses no finding"})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -148,8 +162,17 @@ type allowKey struct {
 	rule string
 }
 
+// allowSite is one well-formed allow comment; used is set once it
+// suppresses a diagnostic.
+type allowSite struct {
+	pos          token.Position
+	rule, reason string
+	used         bool
+}
+
 type allowSet struct {
-	entries map[allowKey]string // -> reason
+	entries map[allowKey]*allowSite
+	sites   []*allowSite // in comment order
 	// malformed collects allow comments with no reason; they are
 	// diagnostics in their own right so audits cannot silently erode.
 	malformed []Diagnostic
@@ -162,7 +185,7 @@ const allowMarker = "iocheck:allow"
 // immediately below it (the usual "comment above the flagged statement"
 // placement, including the last line of a doc comment).
 func collectAllows(pkg *Package) *allowSet {
-	as := &allowSet{entries: make(map[allowKey]string)}
+	as := &allowSet{entries: make(map[allowKey]*allowSite)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -184,9 +207,11 @@ func collectAllows(pkg *Package) *allowSet {
 					continue
 				}
 				rule := fields[0]
-				reason := strings.TrimSpace(strings.TrimPrefix(rest, rule))
+				site := &allowSite{pos: pos, rule: rule,
+					reason: strings.TrimSpace(strings.TrimPrefix(rest, rule))}
+				as.sites = append(as.sites, site)
 				for _, line := range []int{pos.Line, pos.Line + 1} {
-					as.entries[allowKey{pos.Filename, line, rule}] = reason
+					as.entries[allowKey{pos.Filename, line, rule}] = site
 				}
 			}
 		}
@@ -197,9 +222,10 @@ func collectAllows(pkg *Package) *allowSet {
 func applyAllows(diags []Diagnostic, as *allowSet) []Diagnostic {
 	for i := range diags {
 		d := &diags[i]
-		if reason, ok := as.entries[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}]; ok {
+		if site, ok := as.entries[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}]; ok {
 			d.Suppressed = true
-			d.SuppressReason = reason
+			d.SuppressReason = site.reason
+			site.used = true
 		}
 	}
 	return diags

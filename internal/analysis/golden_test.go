@@ -124,6 +124,30 @@ func TestMalformedAllowIsADiagnostic(t *testing.T) {
 	}
 }
 
+// TestStaleAllowIsADiagnostic pins that an allow which suppresses nothing
+// is a finding while its rule runs, and is not judged when it does not.
+func TestStaleAllowIsADiagnostic(t *testing.T) {
+	pkg, err := LoadDir(filepath.Join("testdata", "src", "badallow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	simtime := &Analyzer{Name: SimTime.Name, Run: SimTime.Run}
+	diags := Unsuppressed(Run([]*Package{pkg}, []*Analyzer{simtime}))
+	var stale []Diagnostic
+	for _, d := range diags {
+		if d.Rule == "allow" && strings.Contains(d.Message, "stale //iocheck:allow simtime") {
+			stale = append(stale, d)
+		}
+	}
+	if len(diags) != 2 || len(stale) != 1 || stale[0].Pos.Line != 12 {
+		t.Fatalf("diags = %v, want the malformed finding plus one stale simtime allow at line 12", diags)
+	}
+	maprange := &Analyzer{Name: MapRange.Name, Run: MapRange.Run}
+	if diags := Unsuppressed(Run([]*Package{pkg}, []*Analyzer{maprange})); len(diags) != 1 {
+		t.Fatalf("diags = %v, want only the malformed finding when simtime is not running", diags)
+	}
+}
+
 // TestAnalyzerDocs keeps the suite self-describing for `make lint` users.
 func TestAnalyzerDocs(t *testing.T) {
 	seen := make(map[string]bool)

@@ -259,7 +259,7 @@ func (c *Container) heartbeatLoop(p *sim.Proc) {
 			continue
 		}
 		if q := c.input.QueueLen(); q > 0 {
-			c.report(p, monitor.Sample{
+			c.report(monitor.Sample{
 				Container: c.spec.Name,
 				Step:      -1, // pressure sample, not a completion
 				Latency:   c.input.HeadAge(p.Now()),
@@ -293,7 +293,7 @@ func (c *Container) replicaWatchLoop(p *sim.Proc) {
 			}
 		}
 		if crashed {
-			c.mailbox.Stone.Submit(p, &evpath.Event{Type: msgHeal, Data: &HealReq{}})
+			c.mailbox.Stone.Submit(&evpath.Event{Type: msgHeal, Data: &HealReq{}})
 		}
 	}
 }
@@ -417,7 +417,7 @@ func (r *replica) process(p *sim.Proc, m *datatap.Meta) {
 	}
 	if fi.Crack && !c.crackSeen {
 		c.crackSeen = true
-		c.notifyCrack(p)
+		c.notifyCrack()
 	}
 	st := c.spec.Cost.ServiceTime(fi.Atoms, c.spec.Model, len(c.replicas), fi.Crack)
 	r.curMeta = m
@@ -442,7 +442,7 @@ func (r *replica) process(p *sim.Proc, m *datatap.Meta) {
 	latency := p.Now() - m.Created
 	spID := sp.ID() // before End: spans recycle once ended
 	sp.End()
-	c.report(p, monitor.Sample{
+	c.report(monitor.Sample{
 		Container: c.spec.Name,
 		Step:      m.Step,
 		Latency:   latency,
@@ -530,7 +530,7 @@ func (r *replica) forward(p *sim.Proc, m *datatap.Meta, pg *bp.ProcessGroup, fi 
 
 // report sends a monitoring sample to the global manager over the
 // monitoring overlay, through the configured probe when one is set.
-func (c *Container) report(p *sim.Proc, s monitor.Sample) {
+func (c *Container) report(s monitor.Sample) {
 	c.samples++
 	c.rt.recordSample(s)
 	if s.Step >= 0 && s.Latency > c.SLAPeriod() {
@@ -538,10 +538,10 @@ func (c *Container) report(p *sim.Proc, s monitor.Sample) {
 		c.rt.tracer.Trigger("sla:" + c.spec.Name)
 	}
 	if c.probe != nil {
-		c.probe.Offer(p, s)
+		c.probe.Offer(s)
 		return
 	}
-	c.toGM.Submit(p, monitor.Event(s))
+	c.toGM.Submit(monitor.Event(s))
 }
 
 // MonitoringTraffic reports how many monitoring events this container
@@ -556,8 +556,8 @@ func (c *Container) MonitoringTraffic() (captured, sent int64) {
 
 // notifyCrack tells the global manager crack formation was observed (the
 // pipeline's dynamic-branch trigger).
-func (c *Container) notifyCrack(p *sim.Proc) {
-	c.toGM.Submit(p, &evpath.Event{Type: msgCrackDetected, Size: ctlMsgBytes,
+func (c *Container) notifyCrack() {
+	c.toGM.Submit(&evpath.Event{Type: msgCrackDetected, Size: ctlMsgBytes,
 		Data: &CrackNotice{From: c.spec.Name, Step: c.stepsProcessed}})
 }
 
@@ -565,10 +565,10 @@ func (c *Container) notifyCrack(p *sim.Proc) {
 // which answers with a ResendReq round to the upstream container. It is
 // installed as the input channel's gap handler under at-least-once
 // delivery; the channel rate-limits invocations.
-func (c *Container) noteGap(p *sim.Proc, missing int64) {
+func (c *Container) noteGap(missing int64) {
 	if c.state == StateOffline || c.toGM == nil {
 		return
 	}
-	c.toGM.Submit(p, &evpath.Event{Type: msgGap, Size: ctlMsgBytes,
+	c.toGM.Submit(&evpath.Event{Type: msgGap, Size: ctlMsgBytes,
 		Data: &GapNotice{From: c.spec.Name, Channel: c.input.Name(), Missing: missing}})
 }

@@ -142,7 +142,7 @@ func (c *Container) ManagerNode() int { return c.mgrEV.Node() }
 // the stale manager can demote itself. The refusal travels the bridge
 // the round arrived on — after a rehome that is the *previous* upward
 // bridge, which still points at the stale manager's inbox.
-func (c *Container) fence(p *sim.Proc, seq, stale int64, parent trace.SpanID) {
+func (c *Container) fence(seq, stale int64, parent trace.SpanID) {
 	c.rt.tracer.Trigger("fence:" + c.spec.Name)
 	c.rt.tracer.Instant(parent, "ctl", "fence").
 		Container(c.spec.Name).Node(c.mgrEV.Node()).
@@ -153,5 +153,5 @@ func (c *Container) fence(p *sim.Proc, seq, stale int64, parent trace.SpanID) {
 	if c.staleGM != nil {
 		out = c.staleGM
 	}
-	out.Submit(p, &evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: resp})
+	out.Submit(&evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: resp})
 }

@@ -228,8 +228,7 @@ type GlobalManager struct {
 	// meta-manager; shardSeq numbers outbound shard round messages;
 	// stealPending latches at-most-one in-flight cross-shard steal;
 	// promoteNow is set by a meta PromoteNotice; crackRelayed dedupes the
-	// crack relay; peerBridges caches bridges to other managers' inboxes
-	// (peerOrder keeps close deterministic).
+	// crack relay; peers caches bridges to other managers' inboxes.
 	shard        int
 	scope        []*Container
 	toMeta       *evpath.Stone
@@ -237,8 +236,7 @@ type GlobalManager struct {
 	stealPending bool
 	promoteNow   bool
 	crackRelayed bool
-	peerBridges  map[*evpath.Stone]*evpath.Stone
-	peerOrder    []*evpath.Stone
+	peers        peerBridges
 
 	actions []Action
 }
@@ -287,6 +285,7 @@ func newGlobalManager(rt *Runtime, node int, policy PolicyConfig, spare []*clust
 		rt.eng.At(policy.KillGMAt, func() { gm.dead = true })
 	}
 	gm.ev = evpath.NewManager(rt.eng, rt.mach, node)
+	gm.peers.ev = gm.ev
 	gm.ev.SetTracer(rt.tracer)
 	gm.ctl = evpath.NewMailbox(gm.ev, 0)
 	gm.rsp = evpath.NewMailbox(gm.ev, 0)
@@ -330,9 +329,7 @@ func (gm *GlobalManager) closeBridges() {
 	if gm.toMeta != nil {
 		gm.toMeta.CloseBridge()
 	}
-	for _, b := range gm.peerOrder {
-		b.CloseBridge()
-	}
+	gm.peers.close()
 }
 
 // run is the global manager process: pump monitoring/control traffic and
@@ -348,7 +345,7 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 			return
 		}
 		if gm.toStandby != nil {
-			gm.toStandby.Submit(p, &evpath.Event{Type: msgGMHeartbeat,
+			gm.toStandby.Submit(&evpath.Event{Type: msgGMHeartbeat,
 				Size: ctlMsgBytes,
 				Data: &GMHeartbeat{At: p.Now(), Epoch: gm.epoch, Inbox: gm.root}})
 		}
@@ -400,7 +397,6 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 //
 //iocheck:nonblocking
 func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
-	//iocheck:allow vtblock shardDispatch submits only over peer bridges (courier path); see its own audit
 	if gm.shardDispatch(p, ev) {
 		return
 	}
@@ -417,8 +413,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 	case *CrackNotice:
 		gm.crackSeen = true
 		gm.lastHeard[data.From] = p.Now()
-		//iocheck:allow vtblock relayCrack submits over the toMeta bridge (courier path); see its own audit
-		gm.relayCrack(p, data)
+		gm.relayCrack(data)
 	case *GapNotice:
 		gm.lastHeard[data.From] = p.Now()
 		if up, ok := gm.resendRoute[data.From]; ok {
@@ -426,8 +421,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 				// Cross-shard gap: the upstream container belongs to
 				// another shard, so the writer-side manager must issue the
 				// ResendReq round. Relay through the meta-manager.
-				//iocheck:allow vtblock relayGap submits over the toMeta bridge (courier path); see its own audit
-				gm.relayGap(p, up)
+				gm.relayGap(up)
 			} else {
 				// Defer the round to the tick: dispatch must not park, and
 				// a synchronous round does.
@@ -446,8 +440,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 			if gm.toDeposed == nil {
 				gm.toDeposed = gm.ev.NewBridge(data.Inbox, 0)
 			}
-			//iocheck:allow vtblock toDeposed is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
-			gm.toDeposed.Submit(p, &evpath.Event{Type: msgDemote,
+			gm.toDeposed.Submit(&evpath.Event{Type: msgDemote,
 				Size: ctlMsgBytes, Data: &DemoteNotice{Epoch: gm.epoch}})
 			if !gm.fencedPeer {
 				gm.fencedPeer = true
@@ -471,8 +464,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 			gm.pendingSubs[data.SubID] = data
 		}
 	case *SpareReq:
-		//iocheck:allow vtblock grantSpare submits only to container control bridges (courier path); see its own audit
-		gm.grantSpare(p, data)
+		gm.grantSpare(data)
 		gm.lastHeard[data.From] = p.Now()
 	case *HealNotice:
 		gm.lastHeard[data.From] = p.Now()
@@ -494,7 +486,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 // dispatch, so it inherits the pump's must-not-park obligation.
 //
 //iocheck:nonblocking
-func (gm *GlobalManager) grantSpare(p *sim.Proc, req *SpareReq) {
+func (gm *GlobalManager) grantSpare(req *SpareReq) {
 	if gm.deposed {
 		return // a fenced manager's pool is no longer authoritative
 	}
@@ -515,11 +507,9 @@ func (gm *GlobalManager) grantSpare(p *sim.Proc, req *SpareReq) {
 		// The pool could not cover the request. Ask the meta-manager for
 		// nodes from another shard so the next heal can be served in full
 		// (fire-and-forget; no-op on legacy runs).
-		//iocheck:allow vtblock requestSteal submits over the toMeta bridge (courier path); see its own audit
-		gm.requestSteal(p, req.N-take)
+		gm.requestSteal(req.N - take)
 	}
-	//iocheck:allow vtblock toContainer stones are control bridges: handle() takes the forward() courier path, which enqueues without parking
-	stone.Submit(p, &evpath.Event{Type: msgSpareGrant, Size: ctlMsgBytes,
+	stone.Submit(&evpath.Event{Type: msgSpareGrant, Size: ctlMsgBytes,
 		Data: &SpareGrant{Seq: req.Seq, Nodes: grant}})
 }
 
@@ -592,7 +582,7 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func() ctlReq,
 		gm.rt.noteRound(RoundRecord{T: p.Now(), Epoch: gm.epoch, Seq: gm.seq,
 			Node: gm.node, Target: target, Kind: kind, Retry: attempt,
 			Shard: gm.shard})
-		stone.Submit(p, ev)
+		stone.Submit(ev)
 		deadline := p.Now() + timeout
 		for {
 			if v := gm.takePending(match); v != nil {
@@ -920,7 +910,7 @@ func (gm *GlobalManager) gather(p *sim.Proc, bneck *Container, want int, unattai
 	if want > 0 && !unattainable {
 		// Replenish from another shard's pool for later ticks
 		// (fire-and-forget; no-op on legacy runs).
-		gm.requestSteal(p, want)
+		gm.requestSteal(want)
 	}
 	if want <= 0 || unattainable || gm.policy.DisableStealing {
 		return grant

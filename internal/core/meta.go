@@ -38,8 +38,7 @@ type MetaManager struct {
 	stealsBrokered int
 	relays         int
 
-	bridges     map[*evpath.Stone]*evpath.Stone
-	bridgeOrder []*evpath.Stone
+	peers peerBridges
 
 	actions []Action
 }
@@ -57,9 +56,9 @@ func newMetaManager(rt *Runtime, node, shards int, interval sim.Time) *MetaManag
 		shardInbox:   make(map[int]*evpath.Stone, shards),
 		standbyInbox: make(map[int]*evpath.Stone, shards),
 		promoted:     make(map[int]bool, shards),
-		bridges:      make(map[*evpath.Stone]*evpath.Stone),
 	}
 	mm.ev = evpath.NewManager(rt.eng, rt.mach, node)
+	mm.peers.ev = mm.ev
 	mm.ev.SetTracer(rt.tracer)
 	mm.ctl = evpath.NewMailbox(mm.ev, 0)
 	return mm
@@ -126,14 +125,11 @@ func (mm *MetaManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 			mm.shardInbox[data.Shard] = data.Inbox
 		}
 	case *StealReq:
-		//iocheck:allow vtblock brokerSteal submits over meta peer bridges (courier path); see its own audit
 		mm.brokerSteal(p, data)
 	case *GapRelay:
-		//iocheck:allow vtblock routeGap submits over meta peer bridges (courier path); see its own audit
-		mm.routeGap(p, ev, data)
+		mm.routeGap(data)
 	case *CrackRelay:
-		//iocheck:allow vtblock broadcastCrack submits over meta peer bridges (courier path); see its own audit
-		mm.broadcastCrack(p, data)
+		mm.broadcastCrack(data)
 	}
 }
 
@@ -149,8 +145,7 @@ func (mm *MetaManager) brokerSteal(p *sim.Proc, req *StealReq) {
 	}
 	donor := shardmgr.PickDonor(mm.shardSpare, req.Shard)
 	if donor < 0 || mm.shardInbox[donor] == nil {
-		//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-		mm.bridgeTo(req.Inbox).Submit(p, &evpath.Event{Type: msgStealGrant,
+		mm.peers.to(req.Inbox).Submit(&evpath.Event{Type: msgStealGrant,
 			Size: ctlMsgBytes,
 			Data: &StealGrant{Round: req.Round, Shard: -1}})
 		mm.rt.tracer.Instant(0, "ctl", "steal-dry").Node(mm.node).
@@ -164,14 +159,13 @@ func (mm *MetaManager) brokerSteal(p *sim.Proc, req *StealReq) {
 		mm.shardSpare[donor] = 0
 	}
 	mm.stealsBrokered++
-	mm.record(p, Action{T: p.Now(), Kind: "steal-broker",
+	mm.record(Action{T: p.Now(), Kind: "steal-broker",
 		Target: fmt.Sprintf("shard-%d", req.Shard), N: req.N,
 		Detail: fmt.Sprintf("donor shard %d", donor)})
 	mm.rt.tracer.Instant(0, "ctl", "steal-broker").Node(mm.node).
 		AttrInt("shard", int64(req.Shard)).AttrInt("donor", int64(donor)).
 		AttrInt("seq", req.Seq).End()
-	//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-	mm.bridgeTo(mm.shardInbox[donor]).Submit(p, &evpath.Event{
+	mm.peers.to(mm.shardInbox[donor]).Submit(&evpath.Event{
 		Type: msgStealNotice, Size: ctlMsgBytes,
 		Data: &StealNotice{Round: req.Round, Shard: req.Shard,
 			N: req.N, Inbox: req.Inbox}})
@@ -183,16 +177,14 @@ func (mm *MetaManager) brokerSteal(p *sim.Proc, req *StealReq) {
 // notice again.
 //
 //iocheck:nonblocking
-func (mm *MetaManager) routeGap(p *sim.Proc, ev *evpath.Event, data *GapRelay) {
+func (mm *MetaManager) routeGap(data *GapRelay) {
 	s := mm.rt.dir.ShardOf(data.Upstream)
 	if s < 0 || mm.shardInbox[s] == nil {
 		return
 	}
 	mm.relays++
-	//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-	mm.bridgeTo(mm.shardInbox[s]).Submit(p, &evpath.Event{Type: msgGapRelay,
+	mm.peers.to(mm.shardInbox[s]).Submit(&evpath.Event{Type: msgGapRelay,
 		Size: ctlMsgBytes, Data: data})
-	_ = ev
 }
 
 // broadcastCrack fans the first crack relay out to every shard (acting
@@ -200,7 +192,7 @@ func (mm *MetaManager) routeGap(p *sim.Proc, ev *evpath.Event, data *GapRelay) {
 // relays are duplicates and are dropped.
 //
 //iocheck:nonblocking
-func (mm *MetaManager) broadcastCrack(p *sim.Proc, data *CrackRelay) {
+func (mm *MetaManager) broadcastCrack(data *CrackRelay) {
 	if mm.crackSeen {
 		return
 	}
@@ -209,13 +201,11 @@ func (mm *MetaManager) broadcastCrack(p *sim.Proc, data *CrackRelay) {
 		fwd := &CrackRelay{Round: data.Round, Shard: s,
 			From: data.From, Step: data.Step}
 		if inbox := mm.shardInbox[s]; inbox != nil {
-			//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-			mm.bridgeTo(inbox).Submit(p, &evpath.Event{Type: msgCrackRelay,
+			mm.peers.to(inbox).Submit(&evpath.Event{Type: msgCrackRelay,
 				Size: ctlMsgBytes, Data: fwd})
 		}
 		if inbox := mm.standbyInbox[s]; inbox != nil {
-			//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-			mm.bridgeTo(inbox).Submit(p, &evpath.Event{Type: msgCrackRelay,
+			mm.peers.to(inbox).Submit(&evpath.Event{Type: msgCrackRelay,
 				Size: ctlMsgBytes, Data: fwd})
 		}
 	}
@@ -239,33 +229,20 @@ func (mm *MetaManager) tick(p *sim.Proc) {
 			continue
 		}
 		mm.promoted[s] = true
-		mm.record(p, Action{T: p.Now(), Kind: "promote",
+		mm.record(Action{T: p.Now(), Kind: "promote",
 			Target: fmt.Sprintf("shard-%d", s),
 			Detail: fmt.Sprintf("primary silent for %s; promoting standby", grace)})
 		mm.rt.tracer.Instant(0, "ctl", "promote").Node(mm.node).
 			AttrInt("shard", int64(s)).End()
 		mm.seq++
-		//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-		mm.bridgeTo(inbox).Submit(p, &evpath.Event{Type: msgPromote,
+		mm.peers.to(inbox).Submit(&evpath.Event{Type: msgPromote,
 			Size: ctlMsgBytes,
 			Data: &PromoteNotice{Round: Round{Seq: mm.seq, Epoch: mm.shardEpoch[s]},
 				Shard: s}})
 	}
 }
 
-// bridgeTo returns (creating and caching on first use) a bridge to a
-// peer inbox, with an insertion-ordered list for deterministic close.
-func (mm *MetaManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
-	if b, ok := mm.bridges[inbox]; ok {
-		return b
-	}
-	b := mm.ev.NewBridge(inbox, 0)
-	mm.bridges[inbox] = b
-	mm.bridgeOrder = append(mm.bridgeOrder, b)
-	return b
-}
-
-func (mm *MetaManager) record(p *sim.Proc, a Action) {
+func (mm *MetaManager) record(a Action) {
 	if mm.dead {
 		return
 	}
@@ -275,8 +252,6 @@ func (mm *MetaManager) record(p *sim.Proc, a Action) {
 
 // close drains the meta-manager's couriers and mailbox at shutdown.
 func (mm *MetaManager) close() {
-	for _, b := range mm.bridgeOrder {
-		b.CloseBridge()
-	}
+	mm.peers.close()
 	mm.ctl.Close()
 }

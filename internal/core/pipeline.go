@@ -521,7 +521,7 @@ func Build(cfg Config) (*Runtime, error) {
 			continue
 		}
 		c := c
-		c.input.SetGapHandler(func(p *sim.Proc, missing int64) { c.noteGap(p, missing) })
+		c.input.SetGapHandler(func(_ *sim.Proc, missing int64) { c.noteGap(missing) })
 		if up := rt.upstreamOf(c); up != nil {
 			p := plane(c.shard)
 			rt.mgrs.acting[p].resendRoute[c.Name()] = up.Name()

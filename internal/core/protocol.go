@@ -257,7 +257,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 				// A round from a deposed manager epoch. Refuse it — even a
 				// cached one: serving (or re-serving) it would let a stale
 				// primary keep mutating the pipeline after a failover.
-				c.fence(p, h.Seq, e, ev.Span)
+				c.fence(h.Seq, e, ev.Span)
 				continue
 			}
 			if e > c.fencedEpoch {
@@ -270,7 +270,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 			c.rt.tracer.Instant(ev.Span, "ctl", "dedupe").
 				Container(c.spec.Name).Node(c.mgrEV.Node()).
 				AttrInt("seq", h.Seq).End()
-			c.reply(p, h.Seq, cached)
+			c.reply(h.Seq, cached)
 			if _, wasOffline := cached.(*OfflineResp); wasOffline {
 				return
 			}
@@ -338,7 +338,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 			return
 		}
 		served[h.Seq] = resp
-		c.reply(p, h.Seq, resp)
+		c.reply(h.Seq, resp)
 		sp.End()
 		if exit {
 			return
@@ -350,10 +350,10 @@ func (c *Container) managerLoop(p *sim.Proc) {
 // with the round's Seq and the container's fenced epoch. Re-stamping a
 // cached response is a no-op: a retry that passed the fence carries the
 // epoch the original serve raised fencedEpoch to.
-func (c *Container) reply(p *sim.Proc, seq int64, resp roundMsg) {
+func (c *Container) reply(seq int64, resp roundMsg) {
 	h := resp.round()
 	h.Seq, h.Epoch = seq, c.fencedEpoch
-	c.toGM.Submit(p, &evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: resp})
+	c.toGM.Submit(&evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: resp})
 }
 
 // doIncrease implements the increase protocol's container-side legs
@@ -568,16 +568,16 @@ func (c *Container) doHeal(p *sim.Proc) {
 	lost := len(dead)
 
 	c.healSeq++
-	c.toGM.Submit(p, &evpath.Event{Type: msgSpare, Size: ctlMsgBytes,
+	c.toGM.Submit(&evpath.Event{Type: msgSpare, Size: ctlMsgBytes,
 		Data: &SpareReq{Seq: c.healSeq, From: c.spec.Name, N: lost}})
 	granted := c.awaitGrant(p)
 	if len(granted) == 0 {
-		c.notifyHeal(p, lost, true)
+		c.notifyHeal(lost, true)
 		sp.AttrInt("lost", int64(lost)).Attr("outcome", "degraded").End()
 		return
 	}
 	c.integrateNodes(p, granted)
-	c.notifyHeal(p, lost, false)
+	c.notifyHeal(lost, false)
 	sp.AttrInt("lost", int64(lost)).Attr("outcome", "healed").End()
 }
 
@@ -629,8 +629,8 @@ func (c *Container) integrateNodes(p *sim.Proc, nodes []*cluster.Node) {
 }
 
 // notifyHeal reports the heal outcome up to the global manager.
-func (c *Container) notifyHeal(p *sim.Proc, lost int, degraded bool) {
-	c.toGM.Submit(p, &evpath.Event{Type: msgHealNotice, Size: ctlMsgBytes,
+func (c *Container) notifyHeal(lost int, degraded bool) {
+	c.toGM.Submit(&evpath.Event{Type: msgHealNotice, Size: ctlMsgBytes,
 		Data: &HealNotice{From: c.spec.Name, Lost: lost,
 			Size: len(c.replicas), Degraded: degraded}})
 }

@@ -145,7 +145,6 @@ func (gm *GlobalManager) InStandby() bool { return gm.standbyMode }
 func (gm *GlobalManager) shardDispatch(p *sim.Proc, ev *evpath.Event) bool {
 	switch data := ev.Data.(type) {
 	case *StealNotice:
-		//iocheck:allow vtblock serveSteal submits over peer bridges (courier path); see its own audit
 		gm.serveSteal(p, data)
 	case *StealGrant:
 		gm.acceptSteal(p, data)
@@ -181,13 +180,12 @@ func (gm *GlobalManager) shardDispatch(p *sim.Proc, ev *evpath.Event) bool {
 // pool for the *next* heal or resize, so the caller never waits. At most
 // one steal is in flight per manager; the latch clears when a grant
 // (even an empty one) arrives.
-func (gm *GlobalManager) requestSteal(p *sim.Proc, n int) {
+func (gm *GlobalManager) requestSteal(n int) {
 	if gm.toMeta == nil || gm.stealPending || gm.deposed || n <= 0 {
 		return
 	}
 	gm.stealPending = true
-	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
-	gm.toMeta.Submit(p, &evpath.Event{Type: msgStealReq, Size: ctlMsgBytes,
+	gm.toMeta.Submit(&evpath.Event{Type: msgStealReq, Size: ctlMsgBytes,
 		Data: &StealReq{Round: gm.nextShardRound(), Shard: gm.shard,
 			N: n, Inbox: gm.root}})
 }
@@ -219,8 +217,7 @@ func (gm *GlobalManager) serveSteal(p *sim.Proc, req *StealNotice) {
 			Target: fmt.Sprintf("shard-%d", req.Shard), N: take,
 			Detail: fmt.Sprintf("released %d node(s) from shard %d", take, gm.shard)})
 	}
-	//iocheck:allow vtblock peer bridges take the forward() courier path, which enqueues without parking
-	gm.bridgeTo(req.Inbox).Submit(p, &evpath.Event{Type: msgStealGrant,
+	gm.peers.to(req.Inbox).Submit(&evpath.Event{Type: msgStealGrant,
 		Size: ctlMsgBytes,
 		Data: &StealGrant{Round: req.Round, Shard: gm.shard,
 			Nodes: grant}})
@@ -250,9 +247,8 @@ func (gm *GlobalManager) acceptSteal(p *sim.Proc, g *StealGrant) {
 // pump; must not park.
 //
 //iocheck:nonblocking
-func (gm *GlobalManager) relayGap(p *sim.Proc, upstream string) {
-	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
-	gm.toMeta.Submit(p, &evpath.Event{Type: msgGapRelay, Size: ctlMsgBytes,
+func (gm *GlobalManager) relayGap(upstream string) {
+	gm.toMeta.Submit(&evpath.Event{Type: msgGapRelay, Size: ctlMsgBytes,
 		Data: &GapRelay{Round: gm.nextShardRound(), Shard: gm.shard,
 			Upstream: upstream}})
 }
@@ -262,13 +258,12 @@ func (gm *GlobalManager) relayGap(p *sim.Proc, upstream string) {
 // are a no-op. Runs from the pump; must not park.
 //
 //iocheck:nonblocking
-func (gm *GlobalManager) relayCrack(p *sim.Proc, n *CrackNotice) {
+func (gm *GlobalManager) relayCrack(n *CrackNotice) {
 	if gm.toMeta == nil || gm.crackRelayed {
 		return
 	}
 	gm.crackRelayed = true
-	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
-	gm.toMeta.Submit(p, &evpath.Event{Type: msgCrackRelay, Size: ctlMsgBytes,
+	gm.toMeta.Submit(&evpath.Event{Type: msgCrackRelay, Size: ctlMsgBytes,
 		Data: &CrackRelay{Round: gm.nextShardRound(), Shard: gm.shard,
 			From: n.From, Step: n.Step}})
 }
@@ -280,25 +275,40 @@ func (gm *GlobalManager) nextShardRound() Round {
 	return Round{Seq: gm.shardSeq, Epoch: gm.epoch}
 }
 
-// bridgeTo returns (creating and caching on first use) a bridge to a
-// peer inbox. The cache keeps an insertion-ordered list so closeBridges
-// releases couriers deterministically.
-func (gm *GlobalManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
-	if b, ok := gm.peerBridges[inbox]; ok {
+// peerBridges caches one bridge per peer inbox on the owning manager's
+// overlay, created on first use. The meta-manager and every shard
+// manager reach each other this way; close releases the couriers in
+// creation order so shutdown is deterministic.
+type peerBridges struct {
+	ev    *evpath.Manager
+	cache map[*evpath.Stone]*evpath.Stone
+	order []*evpath.Stone
+}
+
+// to returns the bridge to inbox, creating it on first use.
+func (pb *peerBridges) to(inbox *evpath.Stone) *evpath.Stone {
+	if b, ok := pb.cache[inbox]; ok {
 		return b
 	}
-	if gm.peerBridges == nil {
-		gm.peerBridges = make(map[*evpath.Stone]*evpath.Stone)
+	if pb.cache == nil {
+		pb.cache = make(map[*evpath.Stone]*evpath.Stone)
 	}
-	b := gm.ev.NewBridge(inbox, 0)
-	gm.peerBridges[inbox] = b
-	gm.peerOrder = append(gm.peerOrder, b)
+	b := pb.ev.NewBridge(inbox, 0)
+	pb.cache[inbox] = b
+	pb.order = append(pb.order, b)
 	return b
+}
+
+// close shuts the cached bridges down in creation order.
+func (pb *peerBridges) close() {
+	for _, b := range pb.order {
+		b.CloseBridge()
+	}
 }
 
 // beatMeta sends the periodic ShardBeat liveness heartbeat.
 func (gm *GlobalManager) beatMeta(p *sim.Proc) {
-	gm.toMeta.Submit(p, &evpath.Event{Type: msgShardBeat, Size: ctlMsgBytes,
+	gm.toMeta.Submit(&evpath.Event{Type: msgShardBeat, Size: ctlMsgBytes,
 		Data: &ShardBeat{Round: gm.nextShardRound(), At: p.Now(),
 			Shard: gm.shard, Spare: len(gm.spare), Inbox: gm.root}})
 }

@@ -116,11 +116,11 @@ func (c *Container) serveSubReplay(id string, from int64) (staged int64, ok bool
 // noteSubReconnect reports a reconnecting subscriber up the control
 // bridge, following the GapNotice pattern. The manager answers with a
 // SubResume round at its next tick.
-func (c *Container) noteSubReconnect(p *sim.Proc, subID string, gen int64) {
+func (c *Container) noteSubReconnect(subID string, gen int64) {
 	if c.state == StateOffline || c.toGM == nil {
 		return
 	}
-	c.toGM.Submit(p, &evpath.Event{Type: msgSubNotice, Size: ctlMsgBytes,
+	c.toGM.Submit(&evpath.Event{Type: msgSubNotice, Size: ctlMsgBytes,
 		Data: &SubNotice{Round: Round{Seq: gen, Epoch: c.fencedEpoch},
 			SubID: subID, From: c.spec.Name}})
 }
@@ -294,7 +294,7 @@ func (rt *Runtime) reconnectLoop(p *sim.Proc, s *datatap.Subscriber, at sim.Time
 		if !s.Crashed() {
 			return // resumed (or never crashed: the crash fault may have been shrunk away)
 		}
-		rt.subHost.noteSubReconnect(p, s.ID(), s.Gen())
+		rt.subHost.noteSubReconnect(s.ID(), s.Gen())
 		p.Sleep(backoff)
 		backoff *= 2
 	}

@@ -38,7 +38,6 @@ func (m *Manager) NewBridge(target *Stone, queueCap int) *Stone {
 		q:      sim.NewQueue[*Event](m.eng, queueCap),
 	}
 	s := &Stone{id: m.nextID, mgr: m, bridge: b}
-	m.stones[s.id] = s
 	m.eng.Go("evpath-bridge", func(p *sim.Proc) { b.run(p) })
 	return s
 }
@@ -84,7 +83,7 @@ func (b *bridge) run(p *sim.Proc) {
 			ev.Span = sp.ID()
 		}
 		sp.End()
-		b.target.handle(p, ev)
+		b.target.handle(ev)
 	}
 }
 

@@ -7,6 +7,9 @@
 // The container runtime uses evpath for two things, exactly as the paper
 // does: the control message rounds of the increase/decrease/offline
 // protocols, and the monitoring overlays that feed the managers.
+//
+// Sends take no process, so they cannot park: only bridge couriers and
+// Mailbox receives spend virtual time.
 package evpath
 
 import (
@@ -49,16 +52,12 @@ type StoneID int
 // so bridge traffic is charged to the right NICs; a nil machine gives a
 // cost-free in-process overlay (useful in unit tests).
 type Manager struct {
-	eng     *sim.Engine
-	machine *cluster.Machine
-	node    int
-	nextID  StoneID
-	stones  map[StoneID]*Stone
-	// HandlerCost is charged (as virtual time) per event handled by a
-	// terminal or transform stone, modeling handler execution.
-	HandlerCost sim.Time
-	delivered   int64
-	tracer      *trace.Recorder
+	eng       *sim.Engine
+	machine   *cluster.Machine
+	node      int
+	nextID    StoneID
+	delivered int64
+	tracer    *trace.Recorder
 }
 
 // NewManager returns a Manager on the given machine node. machine may be
@@ -68,7 +67,6 @@ func NewManager(eng *sim.Engine, machine *cluster.Machine, node int) *Manager {
 		eng:     eng,
 		machine: machine,
 		node:    node,
-		stones:  make(map[StoneID]*Stone),
 	}
 }
 
@@ -124,7 +122,6 @@ func (m *Manager) NewStone(action Action) *Stone {
 	m.nextID++
 	s := &Stone{id: m.nextID, mgr: m, action: action}
 	s.emit = func(out *Event) { s.pending = append(s.pending, out) }
-	m.stones[s.id] = s
 	return s
 }
 
@@ -148,30 +145,25 @@ func (s *Stone) Unlink(target *Stone) {
 // Targets returns the current downstream stones.
 func (s *Stone) Targets() []*Stone { return s.targets }
 
-// Submit injects an event at stone s from process p. Local stone chains
-// execute inline (charging HandlerCost per handling stone); bridge stones
-// hand the event to an asynchronous courier that performs the network
-// transfer. p may be nil only for cost-free managers (no machine).
-func (s *Stone) Submit(p *sim.Proc, ev *Event) {
+// Submit injects an event at stone s. Local stone chains execute inline
+// at the current instant; bridge stones enqueue it for the courier that
+// performs the network transfer. Having no process, Submit cannot park.
+func (s *Stone) Submit(ev *Event) {
 	if ev.Submitted == 0 {
 		ev.Submitted = s.mgr.eng.Now()
 	}
 	if ev.Src == 0 {
 		ev.Src = s.id
 	}
-	s.handle(p, ev)
+	s.handle(ev)
 }
 
-func (s *Stone) handle(p *sim.Proc, ev *Event) {
+func (s *Stone) handle(ev *Event) {
 	if s.bridge != nil {
 		s.bridge.forward(ev)
 		return
 	}
-	emitted := ev
 	if s.action != nil {
-		if s.mgr.HandlerCost > 0 && p != nil {
-			p.Sleep(s.mgr.HandlerCost)
-		}
 		// Collect emissions into the stone's reusable pending buffer.
 		// Save/restore makes this safe if a downstream handler re-enters
 		// this stone (a cycle routed back): the inner handle gets the
@@ -186,7 +178,7 @@ func (s *Stone) handle(p *sim.Proc, ev *Event) {
 			s.mgr.delivered += int64(len(outs))
 		} else {
 			for _, out := range outs {
-				s.fanOut(p, out)
+				s.fanOut(out)
 			}
 		}
 		for i := range outs {
@@ -199,16 +191,16 @@ func (s *Stone) handle(p *sim.Proc, ev *Event) {
 		s.mgr.delivered++
 		return
 	}
-	s.fanOut(p, emitted)
+	s.fanOut(ev)
 }
 
-func (s *Stone) fanOut(p *sim.Proc, ev *Event) {
+func (s *Stone) fanOut(ev *Event) {
 	if len(s.targets) == 1 {
-		s.targets[0].handle(p, ev)
+		s.targets[0].handle(ev)
 		return
 	}
 	for _, t := range s.targets {
-		t.handle(p, ev.clone())
+		t.handle(ev.clone())
 	}
 }
 

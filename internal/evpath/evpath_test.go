@@ -22,8 +22,8 @@ func TestPassthroughChain(t *testing.T) {
 	src := m.NewStone(nil)
 	src.Link(mid)
 	eng.Go("p", func(p *sim.Proc) {
-		src.Submit(p, &Event{Type: "a"})
-		src.Submit(p, &Event{Type: "b"})
+		src.Submit(&Event{Type: "a"})
+		src.Submit(&Event{Type: "b"})
 	})
 	eng.Run()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
@@ -39,7 +39,7 @@ func TestFilterAndTypeFilter(t *testing.T) {
 	f.Link(sink)
 	eng.Go("p", func(p *sim.Proc) {
 		for _, ty := range []string{"keep", "drop", "also", "drop", "keep"} {
-			f.Submit(p, &Event{Type: ty})
+			f.Submit(&Event{Type: ty})
 		}
 	})
 	eng.Run()
@@ -63,7 +63,7 @@ func TestTransformRewritesAndDrops(t *testing.T) {
 	tr.Link(sink)
 	eng.Go("p", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			tr.Submit(p, &Event{Type: "n", Data: i})
+			tr.Submit(&Event{Type: "n", Data: i})
 		}
 	})
 	eng.Run()
@@ -92,7 +92,7 @@ func TestSplitClonesEvents(t *testing.T) {
 	split := m.NewStone(nil)
 	split.Link(mk("left")).Link(mk("right"))
 	eng.Go("p", func(p *sim.Proc) {
-		split.Submit(p, &Event{Type: "x", Span: 7})
+		split.Submit(&Event{Type: "x", Span: 7})
 	})
 	eng.Run()
 	if seen["left"] != 7 || seen["right"] != 7 {
@@ -107,9 +107,9 @@ func TestUnlink(t *testing.T) {
 	src := m.NewStone(nil)
 	src.Link(sink)
 	eng.Go("p", func(p *sim.Proc) {
-		src.Submit(p, &Event{Type: "a"})
+		src.Submit(&Event{Type: "a"})
 		src.Unlink(sink)
-		src.Submit(p, &Event{Type: "b"})
+		src.Submit(&Event{Type: "b"})
 	})
 	eng.Run()
 	if c.Total != 1 {
@@ -134,7 +134,7 @@ func TestAggregateCombines(t *testing.T) {
 	agg.Link(sink)
 	eng.Go("p", func(p *sim.Proc) {
 		for i := 1; i <= 7; i++ {
-			agg.Submit(p, &Event{Type: "n", Data: i})
+			agg.Submit(&Event{Type: "n", Data: i})
 		}
 	})
 	eng.Run()
@@ -147,27 +147,10 @@ func TestAggregateCombines(t *testing.T) {
 func TestTerminalWithoutTargetsCountsDelivered(t *testing.T) {
 	eng, m := localManager()
 	s := m.NewStone(nil)
-	eng.Go("p", func(p *sim.Proc) { s.Submit(p, &Event{Type: "x"}) })
+	eng.Go("p", func(p *sim.Proc) { s.Submit(&Event{Type: "x"}) })
 	eng.Run()
 	if m.Delivered() != 1 {
 		t.Fatalf("delivered %d", m.Delivered())
-	}
-}
-
-func TestHandlerCostCharged(t *testing.T) {
-	eng := sim.NewEngine(1)
-	m := NewManager(eng, nil, 0)
-	m.HandlerCost = 5 * sim.Millisecond
-	sink := m.NewStone(Terminal(func(*Event) {}))
-	var elapsed sim.Time
-	eng.Go("p", func(p *sim.Proc) {
-		start := p.Now()
-		sink.Submit(p, &Event{Type: "x"})
-		elapsed = p.Now() - start
-	})
-	eng.Run()
-	if elapsed != 5*sim.Millisecond {
-		t.Fatalf("elapsed %v", elapsed)
 	}
 }
 
@@ -195,7 +178,7 @@ func TestBridgeDeliversAcrossNodes(t *testing.T) {
 		recvAt, data = p.Now(), ev.Data
 	})
 	eng.Go("producer", func(p *sim.Proc) {
-		br.Submit(p, &Event{Type: "msg", Size: 1024, Data: "hello"})
+		br.Submit(&Event{Type: "msg", Size: 1024, Data: "hello"})
 	})
 	eng.Run()
 	if data != "hello" {
@@ -219,7 +202,7 @@ func TestBridgeSubmitIsAsync(t *testing.T) {
 	br := m0.NewBridge(mb.Stone, 0)
 	var submitDone sim.Time
 	eng.Go("producer", func(p *sim.Proc) {
-		br.Submit(p, &Event{Type: "msg", Size: 1 << 20})
+		br.Submit(&Event{Type: "msg", Size: 1 << 20})
 		submitDone = p.Now()
 	})
 	eng.Run()
@@ -237,7 +220,7 @@ func TestBridgeBoundedDrops(t *testing.T) {
 	br := m0.NewBridge(mb.Stone, 2)
 	eng.Go("producer", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			br.Submit(p, &Event{Type: "m", Size: 1 << 24})
+			br.Submit(&Event{Type: "m", Size: 1 << 24})
 		}
 	})
 	eng.Run()
@@ -255,7 +238,7 @@ func TestBridgeClose(t *testing.T) {
 	mb := NewMailbox(m1, 0)
 	br := m0.NewBridge(mb.Stone, 0)
 	eng.Go("producer", func(p *sim.Proc) {
-		br.Submit(p, &Event{Type: "m", Size: 100})
+		br.Submit(&Event{Type: "m", Size: 100})
 		br.CloseBridge()
 	})
 	eng.Run()
@@ -319,7 +302,7 @@ func TestMonitoringOverlayTree(t *testing.T) {
 		br := leafMgr.NewBridge(agg, 0)
 		val := float64(i * 10)
 		eng.Go("leaf", func(p *sim.Proc) {
-			br.Submit(p, &Event{Type: "sample", Size: 16, Data: val})
+			br.Submit(&Event{Type: "sample", Size: 16, Data: val})
 		})
 	}
 	eng.Run()
@@ -352,7 +335,7 @@ func TestMultiHopBridgeChain(t *testing.T) {
 	relay.Link(hop2)
 	hop1 := m0.NewBridge(relay, 0)
 	eng.Go("src", func(p *sim.Proc) {
-		hop1.Submit(p, &Event{Type: "m", Size: 4096, Data: "orig"})
+		hop1.Submit(&Event{Type: "m", Size: 4096, Data: "orig"})
 	})
 	eng.Run()
 	if len(got) != 1 || got[0] != "orig+relayed" {
@@ -380,7 +363,7 @@ func TestSubmitStampsMetadataOnce(t *testing.T) {
 	eng.At(7*sim.Second, func() {})
 	eng.Go("p", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Second)
-		first.Submit(p, &Event{Type: "x"})
+		first.Submit(&Event{Type: "x"})
 	})
 	eng.Run()
 	if src != first.ID() {
@@ -400,7 +383,7 @@ func TestCounterSeesEveryBranch(t *testing.T) {
 	split.Link(a).Link(b)
 	eng.Go("p", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			split.Submit(p, &Event{Type: "x"})
+			split.Submit(&Event{Type: "x"})
 		}
 	})
 	eng.Run()
